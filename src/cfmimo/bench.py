@@ -1,6 +1,7 @@
 """Per-snapshot wall-clock comparison of the allocation methods.
 
-Each method is timed on the same snapshots, one at a time, measuring
+Each method is timed on the same snapshots, one at a time and the methods
+interleaved per snapshot after each method's warm-up, measuring
 exactly what a deployment would run when a fresh set of gains arrives:
 the solver needs the SINR coefficients plus the bisection, the network
 needs the input transform plus one forward pass, and the online variant
@@ -65,18 +66,19 @@ def bench_methods(
     if len(beta) == 0:
         raise ValidationError("no snapshots to bench")
 
-    out = {}
     for method in methods:
         for _ in range(warmup):
             _run_once(method, beta[0], cfg, model, norm,
                       finetune_steps, finetune_lr)
-        times = np.empty(len(beta))
-        for i in range(len(beta)):
+    # interleaved snapshot by snapshot, so that drift in machine speed
+    # between separate per-method loops does not enter the ratios
+    out = {method: np.empty(len(beta)) for method in methods}
+    for i in range(len(beta)):
+        for method in methods:
             start = time.perf_counter()
             _run_once(method, beta[i], cfg, model, norm,
                       finetune_steps, finetune_lr)
-            times[i] = time.perf_counter() - start
-        out[method] = times
+            out[method][i] = time.perf_counter() - start
     return out
 
 

@@ -50,8 +50,11 @@ class SystemConfig:
         if self.bandwidth_hz <= 0 or self.carrier_freq_hz <= 0:
             raise ValidationError("bandwidth and carrier frequency must be positive")
         tau = self.tau
-        if tau < 1:
-            raise ValidationError("pilot length must be at least 1")
+        if tau < self.n_users:
+            raise ValidationError(
+                f"pilot length {tau} is shorter than the {self.n_users} users; "
+                "orthogonal pilots need length >= number of users"
+            )
         if tau >= self.coherence_samples:
             raise ValidationError("pilot length must be shorter than the coherence interval")
         if self.grid_shape is not None:

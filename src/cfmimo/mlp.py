@@ -1,7 +1,7 @@
 """Feed-forward power-control network on a flat parameter vector.
 
 The network maps a normalized snapshot of the M*K large-scale gains to K
-per-user power coefficients in (0, 1).  All weights and biases live in a
+per-user power coefficients in [0, 1].  All weights and biases live in a
 single contiguous float64 array; the per-layer matrices are views into it,
 so optimizer updates on the flat array are immediately visible to the
 forward pass and checkpointing is a single array dump.
@@ -10,7 +10,7 @@ forward pass and checkpointing is a single array dump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,18 +109,20 @@ class Mlp:
             acts.append(a)
         return a, zs, acts
 
-    def backward(self, zs, acts, grad_out) -> np.ndarray:
+    def backward(self, zs, acts, grad_out, out=None) -> np.ndarray:
         """Gradient of sum_b loss_b wrt the flat parameters.
 
-        grad_out is d(loss)/d(output) for the batch, shape (B, out).
+        grad_out is d(loss)/d(output) for the batch, shape (B, out).  The
+        gradient is written into out, a flat array shaped like the
+        parameters, when given, else into a new one; every entry is written.
         """
-        grad = np.zeros_like(self.params)
+        grad = np.empty_like(self.params) if out is None else out
         gws, gbs = _layer_views(self.sizes, grad)
-        out = acts[-1]
-        delta = grad_out * out * (1.0 - out)
+        act = acts[-1]
+        delta = grad_out * act * (1.0 - act)
         for i in range(self.n_layers - 1, -1, -1):
-            gws[i][...] = delta.T @ acts[i]
-            gbs[i][...] = delta.sum(axis=0)
+            np.matmul(delta.T, acts[i], out=gws[i])
+            np.sum(delta, axis=0, out=gbs[i])
             if i > 0:
                 delta = (delta @ self.weights[i]) * elu_grad(zs[i - 1], acts[i])
         return grad
@@ -175,6 +177,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # two parameter-sized work arrays for adam_step
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -183,12 +190,32 @@ class AdamState:
 
 def adam_step(params, grad, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam update, in place on params."""
+    """One Adam update, in place on params.
+
+    Computes, with c1 = 1 - beta1**step and c2 = 1 - beta2**step,
+
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + (1 - beta2) g g
+        params -= lr (m / c1) / (sqrt(v / c2) + eps)
+
+    operation by operation in this order, into the state's scratch arrays,
+    so nothing parameter-sized is allocated and the result is bit-identical
+    to the expression as written.  Folding 1/c1 and 1/c2 into the step size
+    would save passes but rounds differently.
+    """
     state.step += 1
+    upd, denom = state.scratch
+    np.multiply(grad, 1.0 - beta1, out=upd)
     state.m *= beta1
-    state.m += (1.0 - beta1) * grad
+    state.m += upd
+    np.multiply(grad, 1.0 - beta2, out=upd)
+    upd *= grad
     state.v *= beta2
-    state.v += (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.v += upd
+    np.divide(state.v, 1.0 - beta2 ** state.step, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(state.m, 1.0 - beta1 ** state.step, out=upd)
+    upd *= lr
+    upd /= denom
+    params -= upd

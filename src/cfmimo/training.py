@@ -24,9 +24,17 @@ def batch_loss(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients) -> float:
     return -float(batch_rates(coeffs, q).min(axis=1).mean())
 
 
-def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients):
-    """Loss and its gradient wrt the flat parameter vector."""
-    q, zs, acts = model.forward_cached(x)
+def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients,
+                        *, cache=None, out=None):
+    """Loss and its gradient wrt the flat parameter vector.
+
+    cache is ``model.forward_cached(x)`` when the caller already has it for
+    the current parameters.  The gradient is written into out when given
+    (see ``Mlp.backward``).
+    """
+    if cache is None:
+        cache = model.forward_cached(x)
+    q, zs, acts = cache
     denom = np.einsum("nki,ni->nk", coeffs.coupling, q) + coeffs.noise
     sinr = q * coeffs.signal / denom
     rates = np.log1p(sinr) / LN2
@@ -47,7 +55,7 @@ def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients):
     grad_q = -factor[:, None] * (onehot - (q_w / d_w)[:, None] * coup_w)
 
     loss = -float(rates[rows, worst].mean())
-    return loss, model.backward(zs, acts, grad_q)
+    return loss, model.backward(zs, acts, grad_q, out=out)
 
 
 @dataclass
@@ -97,6 +105,7 @@ def train_model(
     run = TrainingRun(model=model, normalizer=norm)
     best_params = model.params.copy()
     opt = AdamState.zeros(model.params.size)
+    grad = np.empty_like(model.params)
 
     def validate(it, train_loss):
         val_loss = batch_loss(model, x_val, co_val)
@@ -111,7 +120,8 @@ def train_model(
     validate(0, batch_loss(model, x_train, co_train))
     for it in range(1, tcfg.iterations + 1):
         idx = batch_rng.integers(0, n, size=tcfg.batch_size)
-        loss, grad = batch_loss_and_grad(model, x_train[idx], co_train.take(idx))
+        loss, _ = batch_loss_and_grad(model, x_train[idx], co_train.take(idx),
+                                      out=grad)
         adam_step(model.params, grad, opt, tcfg.learning_rate,
                   tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps)
         if it % tcfg.validation_every == 0 or it == tcfg.iterations:
@@ -140,23 +150,30 @@ def online_finetune(
     x is the normalized input of that single snapshot and coeffs its
     coefficient stack of length one.  The candidate set covers the untouched
     network and the state after every update step; the q with the largest
-    worst-user rate wins.  The caller's model is never mutated.
+    worst-user rate wins (the earliest on ties).  Each step's forward pass
+    yields both the candidate of the previous update and the cache for the
+    next gradient, so ``steps`` updates cost ``steps + 1`` forward passes.
+    The caller's model is never mutated.
     """
+    if steps < 0:
+        raise ValidationError(f"fine-tuning steps must be >= 0, got {steps}")
     if tcfg is None:
         tcfg = TrainConfig()
     local = model.clone()
     opt = AdamState.zeros(local.params.size)
+    grad = np.empty_like(local.params)
     xb = x[None, :]
 
-    best_q = local.forward(x)
-    best_rate = batch_rates(coeffs, best_q[None, :]).min()
+    cache = local.forward_cached(xb)
+    best_q = cache[0][0]
+    best_rate = batch_rates(coeffs, cache[0]).min()
     for _ in range(steps):
-        _, grad = batch_loss_and_grad(local, xb, coeffs)
+        batch_loss_and_grad(local, xb, coeffs, cache=cache, out=grad)
         adam_step(local.params, grad, opt, lr,
                   tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps)
-        q = local.forward(x)
-        rate = batch_rates(coeffs, q[None, :]).min()
+        cache = local.forward_cached(xb)
+        rate = batch_rates(coeffs, cache[0]).min()
         if rate > best_rate:
             best_rate = rate
-            best_q = q
+            best_q = cache[0][0]
     return best_q

@@ -108,6 +108,15 @@ def test_finetune_alias(workspace):
     assert summary["method"] == "dnn-online"
 
 
+def test_negative_finetune_steps_is_validation_error(workspace):
+    root, cfg_path, data_dir, model_path = workspace
+    assert main(["--config", str(cfg_path), "--out", str(root / "rep_neg"),
+                 "finetune", "--data", str(data_dir),
+                 "--checkpoint", str(model_path),
+                 "--finetune-steps", "-1"]) == 2
+    assert not (root / "rep_neg").exists()
+
+
 def test_eval_requires_out_and_checkpoint(workspace):
     _, cfg_path, data_dir, _ = workspace
     assert main(["--config", str(cfg_path), "eval", "--data", str(data_dir),

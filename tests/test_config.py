@@ -48,6 +48,16 @@ def test_rejects_pilot_longer_than_coherence():
         SystemConfig(pilot_length=200, coherence_samples=200)
 
 
+def test_rejects_pilot_shorter_than_user_count():
+    # orthogonal pilots need one sequence per user; caught here, not by the
+    # first rate computation
+    with pytest.raises(ValidationError):
+        SystemConfig(n_users=5, pilot_length=3)
+    with pytest.raises(ValidationError):
+        SystemConfig(n_users=5, pilot_length=0)
+    assert SystemConfig(n_users=5, pilot_length=5).tau == 5
+
+
 def test_rejects_bad_grid():
     with pytest.raises(ValidationError):
         SystemConfig(n_aps=30, grid_shape=(4, 5))

@@ -228,6 +228,44 @@ def test_adam_state_accumulates():
     assert params[0] == pytest.approx(-0.3, rel=1e-4)
 
 
+def adam_reference(params, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook update, one expression per line, with temporaries."""
+    state.step += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1 ** state.step)
+    v_hat = state.v / (1.0 - beta2 ** state.step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_bit_identical_to_textbook_form():
+    rng = np.random.default_rng(12)
+    params = rng.normal(size=300)
+    expected = params.copy()
+    state, ref_state = AdamState.zeros(300), AdamState.zeros(300)
+    # enough steps that the bias corrections move through many values
+    for _ in range(60):
+        grad = rng.normal(size=300) * rng.uniform(0.0, 3.0)
+        grad[:5] = 0.0
+        adam_step(params, grad, state, lr=0.01)
+        adam_reference(expected, grad, ref_state, lr=0.01)
+        assert np.array_equal(state.m, ref_state.m)
+        assert np.array_equal(state.v, ref_state.v)
+        assert np.array_equal(params, expected)
+
+
+def test_backward_out_matches_fresh_gradient():
+    stack = beta_stack(SMALL, 9, 13)
+    co = batch_sinr_coefficients(stack, SMALL)
+    model = build_model(4, 2, np.random.default_rng(14))
+    x = fit_normalizer(stack, "log").transform(stack)
+    _, fresh = batch_loss_and_grad(model, x, co)
+    buf = np.full_like(model.params, np.nan)
+    _, grad = batch_loss_and_grad(model, x, co, out=buf)
+    assert grad is buf
+    assert np.array_equal(buf, fresh)
+
+
 # --- training loop ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -322,3 +360,49 @@ def test_finetune_improves_on_average(tiny_run):
         q = online_finetune(run.model, x, co.take([i]), steps=50)
         gains.append(batch_rates(co.take([i]), q[None, :]).min() - base)
     assert np.mean(gains) > 0.0
+
+
+def finetune_reference(model, x, coeffs, steps, lr=0.01):
+    """Fine-tuning with a separate forward pass to rank each candidate."""
+    tcfg = TrainConfig()
+    local = model.clone()
+    opt = AdamState.zeros(local.params.size)
+    best_q = local.forward(x)
+    best_rate = batch_rates(coeffs, best_q[None, :]).min()
+    for _ in range(steps):
+        _, grad = batch_loss_and_grad(local, x[None, :], coeffs)
+        adam_reference(local.params, grad, opt, lr,
+                       tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps)
+        q = local.forward(x)
+        rate = batch_rates(coeffs, q[None, :]).min()
+        if rate > best_rate:
+            best_rate = rate
+            best_q = q
+    return best_q
+
+
+def test_finetune_bit_identical_to_reference(tiny_run):
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    for i in range(3):
+        x = run.normalizer.transform(val[i])
+        for steps in (0, 1, 30):
+            q = online_finetune(run.model, x, co.take([i]), steps=steps)
+            assert np.array_equal(q, finetune_reference(run.model, x, co.take([i]),
+                                                        steps))
+
+
+def test_finetune_zero_steps_is_the_plain_network(tiny_run):
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    x = run.normalizer.transform(val[0])
+    q = online_finetune(run.model, x, co.take([0]), steps=0)
+    assert np.array_equal(q, run.model.forward(x))
+
+
+def test_finetune_rejects_negative_steps(tiny_run):
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    with pytest.raises(ValidationError):
+        online_finetune(run.model, run.normalizer.transform(val[0]), co.take([0]),
+                        steps=-1)
