@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Per-snapshot timing: solver vs. network inference vs. fine-tuning.
 
-Times each method on identical snapshots, method-major with warmup,
-single-threaded so the comparison is per-core.  Trains a throwaway
-model per size unless a checkpoint directory from run_rate_table.py
-is passed via --models.
+Times each method on identical snapshots after a warmup, interleaved
+snapshot by snapshot, single-threaded so the comparison is per-core.
+Trains a throwaway model per size unless a checkpoint directory from
+run_rate_table.py is passed via --models.
 """
 
 import argparse

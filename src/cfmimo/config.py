@@ -86,11 +86,6 @@ class SystemConfig:
         return 10.0 ** ((p_dbm - self.noise_power_dbm()) / 10.0)
 
 
-def normalized_snr(cfg: SystemConfig) -> tuple[float, float]:
-    """Return (rho, rho_p), the noise-normalized data and pilot SNRs."""
-    return cfg.rho, cfg.rho_p
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 10000
@@ -106,8 +101,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.validation_every < 1:
             raise ValidationError("bad training loop sizes")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError("learning rate must be finite and positive")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValidationError("Adam epsilon must be finite and positive")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValidationError("Adam decay rates must lie in [0, 1)")
         if self.input_transform not in ("log", "linear"):

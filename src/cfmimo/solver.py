@@ -203,11 +203,6 @@ def solve_maxmin_bisection(
     )
 
 
-def max_power_allocation(n_users: int) -> np.ndarray:
-    """Everyone transmits at full power; the trivial reference policy."""
-    return np.ones(n_users)
-
-
 def brute_force_maxmin(ctx: RateContext, grid_resolution: int = 200):
     """Exhaustive max-min search over a uniform power grid; small K only.
 

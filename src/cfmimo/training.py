@@ -9,13 +9,15 @@ ties).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import SystemConfig, TrainConfig
 from .errors import ValidationError
-from .mlp import AdamState, Mlp, Normalizer, adam_step, build_model, fit_normalizer
+from .mlp import (AdamState, Mlp, Normalizer, adam_step, build_model, elu, elu_grad,
+                  fit_normalizer)
 from .rates import LN2, BatchedCoefficients, batch_rates, batch_sinr_coefficients
 
 
@@ -136,6 +138,27 @@ FINETUNE_STEPS = 100
 FINETUNE_LR = 0.01
 
 
+def _first_layer_shift(x, mu, nu, step, lr, beta1, beta2, eps, rows):
+    """Change of h = W1 x under one Adam step on W1, never forming W1.
+
+    With a fixed input x, W1's gradient is always d1 x^T, so its Adam
+    moments are m = mu x^T and v = nu (x*x)^T, where mu and nu are the
+    moments of the gradients d1 (b1's moments).  The Adam step on W1 then
+    moves W1 x by, with c1 = 1 - beta1**step, c2 = 1 - beta2**step and
+    a = sqrt(nu / c2),
+
+        dh_i = -lr (mu_i / c1) sum_j x_j^2 / (a_i |x_j| + eps)
+
+    rows is a (len(mu), len(x)) work array.
+    """
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    np.einsum("i,j->ij", np.sqrt(nu / c2), np.abs(x), out=rows)
+    rows += eps
+    np.reciprocal(rows, out=rows)
+    return -lr * (mu / c1) * (rows @ (x * x))
+
+
 def online_finetune(
     model: Mlp,
     x: np.ndarray,
@@ -145,33 +168,57 @@ def online_finetune(
     lr: float = FINETUNE_LR,
     tcfg: TrainConfig | None = None,
 ) -> np.ndarray:
-    """Adapt a copy of the trained net to one snapshot, return the best q.
+    """Adapt the trained net to one snapshot with Adam, return the best q.
 
     x is the normalized input of that single snapshot and coeffs its
     coefficient stack of length one.  The candidate set covers the untouched
-    network and the state after every update step; the q with the largest
-    worst-user rate wins (the earliest on ties).  Each step's forward pass
-    yields both the candidate of the previous update and the cache for the
-    next gradient, so ``steps`` updates cost ``steps + 1`` forward passes.
-    The caller's model is never mutated.
+    network (``model.forward(x)``) and the state after every update step;
+    the q with the largest worst-user rate wins (the earliest on ties).  The
+    caller's model is never mutated.
+
+    The first layer's weights W1 stay implicit: the network sees them only
+    through h = W1 x, and x is the same at every step.  Adam trains the flat
+    tail of the parameters (b1 and every later layer), and after each step
+    h moves by ``_first_layer_shift``, exactly what the same Adam step on W1
+    would do to W1 x.  The result equals full-parameter Adam up to rounding.
+    Each step's forward pass yields both the candidate of the previous
+    update and the cache for the next gradient.
     """
     if steps < 0:
         raise ValidationError(f"fine-tuning steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"fine-tuning step size must be finite and > 0, got {lr}")
+    if model.n_layers < 2:
+        raise ValidationError("fine-tuning needs a network of two layers at least")
     if tcfg is None:
         tcfg = TrainConfig()
-    local = model.clone()
-    opt = AdamState.zeros(local.params.size)
-    grad = np.empty_like(local.params)
-    xb = x[None, :]
+    beta1, beta2, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps
+    n0, n1, n2 = model.sizes[:3]
+    tail = model.params[n0 * n1:].copy()  # b1, then every later layer
+    bias1 = tail[:n1]
+    upper = Mlp(model.sizes[1:], tail[n1:])
+    opt = AdamState.zeros(tail.size)
+    grad = np.empty_like(tail)
+    grad_b1 = grad[:n1]
+    grad_b2 = grad[n1 + n1 * n2:n1 + n1 * n2 + n2]
+    rows = np.empty((n1, n0))
 
-    cache = local.forward_cached(xb)
-    best_q = cache[0][0]
-    best_rate = batch_rates(coeffs, cache[0]).min()
+    best_q = model.forward(x)
+    best_rate = batch_rates(coeffs, best_q[None, :]).min()
+    h = (x[None, :] @ model.weights[0].T)[0]
+    z1 = h + bias1
+    a1 = elu(z1)[None, :]
+    cache = upper.forward_cached(a1)
     for _ in range(steps):
-        batch_loss_and_grad(local, xb, coeffs, cache=cache, out=grad)
-        adam_step(local.params, grad, opt, lr,
-                  tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps)
-        cache = local.forward_cached(xb)
+        batch_loss_and_grad(upper, a1, coeffs, cache=cache, out=grad[n1:])
+        np.matmul(grad_b2, upper.weights[0], out=grad_b1)
+        grad_b1 *= elu_grad(z1, a1[0])
+        adam_step(tail, grad, opt, lr, beta1, beta2, eps)
+        h += _first_layer_shift(x, opt.m[:n1], opt.v[:n1], opt.step,
+                                lr, beta1, beta2, eps, rows)
+        z1 = h + bias1
+        a1 = elu(z1)[None, :]
+        cache = upper.forward_cached(a1)
         rate = batch_rates(coeffs, cache[0]).min()
         if rate > best_rate:
             best_rate = rate

@@ -117,6 +117,15 @@ def test_negative_finetune_steps_is_validation_error(workspace):
     assert not (root / "rep_neg").exists()
 
 
+def test_nan_finetune_lr_is_validation_error(workspace):
+    root, cfg_path, data_dir, model_path = workspace
+    assert main(["--config", str(cfg_path), "--out", str(root / "rep_nan"),
+                 "finetune", "--data", str(data_dir),
+                 "--checkpoint", str(model_path),
+                 "--finetune-lr", "nan"]) == 2
+    assert not (root / "rep_nan").exists()
+
+
 def test_eval_requires_out_and_checkpoint(workspace):
     _, cfg_path, data_dir, _ = workspace
     assert main(["--config", str(cfg_path), "eval", "--data", str(data_dir),

@@ -8,7 +8,6 @@ from cfmimo.config import (
     TrainConfig,
     config_digest,
     load_config,
-    normalized_snr,
     save_config,
     scenario_digest,
 )
@@ -23,7 +22,7 @@ def test_noise_power_default_scenario():
 
 def test_normalized_snr_default_scenario():
     cfg = SystemConfig()
-    rho, rho_p = normalized_snr(cfg)
+    rho, rho_p = cfg.rho, cfg.rho_p
     # 100 mW = 20 dBm over the noise floor above
     assert rho == pytest.approx(10 ** 11.198970004336019, rel=1e-12)
     assert rho == pytest.approx(1.581e11, rel=1e-3)
@@ -71,6 +70,24 @@ def test_train_config_validation():
         TrainConfig(input_transform="sqrt")
     with pytest.raises(ValidationError):
         TrainConfig(adam_beta1=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.nan),
+    ("adam_eps", math.inf), ("learning_rate", math.nan),
+    ("learning_rate", math.inf), ("learning_rate", -0.01),
+])
+def test_train_config_rejects_bad_step_constants(field, value):
+    with pytest.raises(ValidationError):
+        TrainConfig(**{field: value})
+
+
+def test_config_file_rejects_nan_epsilon(tmp_path):
+    # json.load accepts the NaN literal, so validation has to catch it
+    path = tmp_path / "cfg.json"
+    path.write_text('{"train": {"adam_eps": NaN}}')
+    with pytest.raises(ValidationError):
+        load_config(path)
 
 
 def test_config_roundtrip_and_digest(tmp_path):

@@ -21,7 +21,13 @@ from cfmimo.mlp import (
     sigmoid,
 )
 from cfmimo.rates import batch_rates, batch_sinr_coefficients
-from cfmimo.training import batch_loss, batch_loss_and_grad, online_finetune, train_model
+from cfmimo.training import (
+    _first_layer_shift,
+    batch_loss,
+    batch_loss_and_grad,
+    online_finetune,
+    train_model,
+)
 
 SMALL = SystemConfig(n_aps=4, n_users=2)
 
@@ -363,7 +369,8 @@ def test_finetune_improves_on_average(tiny_run):
 
 
 def finetune_reference(model, x, coeffs, steps, lr=0.01):
-    """Fine-tuning with a separate forward pass to rank each candidate."""
+    """Full-parameter fine-tuning: textbook Adam on every weight, W1 included,
+    and a separate forward pass to rank each candidate."""
     tcfg = TrainConfig()
     local = model.clone()
     opt = AdamState.zeros(local.params.size)
@@ -381,15 +388,81 @@ def finetune_reference(model, x, coeffs, steps, lr=0.01):
     return best_q
 
 
-def test_finetune_bit_identical_to_reference(tiny_run):
+def test_finetune_matches_reference(tiny_run):
+    # the implicit first layer rounds differently from full-parameter Adam
     train, val, _, run = tiny_run
     co = batch_sinr_coefficients(val, SMALL)
-    for i in range(3):
+    moved = 0
+    for i in range(len(val)):
         x = run.normalizer.transform(val[i])
-        for steps in (0, 1, 30):
+        plain = run.model.forward(x)
+        q = online_finetune(run.model, x, co.take([i]), steps=0)
+        assert np.array_equal(q, finetune_reference(run.model, x, co.take([i]), 0))
+        for steps in (1, 10, 30):
             q = online_finetune(run.model, x, co.take([i]), steps=steps)
-            assert np.array_equal(q, finetune_reference(run.model, x, co.take([i]),
-                                                        steps))
+            ref = finetune_reference(run.model, x, co.take([i]), steps)
+            assert np.abs(q - ref).max() <= 1e-12
+            moved += not np.array_equal(ref, plain)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
+def test_finetune_matches_reference_at_paper_sizes(n_aps, n_users):
+    cfg = SystemConfig(n_aps=n_aps, n_users=n_users)
+    beta = beta_stack(cfg, 23, 30)
+    model = build_model(n_aps, n_users, np.random.default_rng(31))
+    norm = fit_normalizer(beta[:20])
+    co = batch_sinr_coefficients(beta[20:], cfg)
+    moved = 0
+    for i in range(3):
+        x = norm.transform(beta[20 + i])
+        plain = model.forward(x)
+        for steps in (1, 10):
+            q = online_finetune(model, x, co.take([i]), steps=steps)
+            ref = finetune_reference(model, x, co.take([i]), steps)
+            assert np.abs(q - ref).max() <= 1e-9
+            moved += not np.array_equal(ref, plain)
+    assert moved > 0
+
+
+def test_first_layer_shift_equals_explicit_adam_on_w1():
+    # Adam on W1 with gradients d1 x^T moves W1 x by what the shift computes
+    # from b1's moments alone, bias correction included
+    rng = np.random.default_rng(40)
+    n0, n1, lr = 12, 7, 0.01
+    x = rng.normal(size=n0)
+    x[:2] = (0.0, 1e-9)  # a zero input and one where eps dominates
+    w = rng.normal(size=(n1, n0))
+    bias = np.zeros(n1)
+    w_opt, b_opt = AdamState.zeros(w.size), AdamState.zeros(n1)
+    rows = np.empty((n1, n0))
+    for _ in range(6):
+        d1 = rng.normal(size=n1) * rng.uniform(0.1, 3.0)
+        d1[0] = 0.0
+        w_before = w.copy()
+        adam_step(w.reshape(-1), np.outer(d1, x).reshape(-1), w_opt, lr)
+        adam_step(bias, d1, b_opt, lr)
+        expected = (w - w_before) @ x
+        shift = _first_layer_shift(x, b_opt.m, b_opt.v, b_opt.step, lr,
+                                   0.9, 0.999, 1e-8, rows)
+        assert np.abs(shift - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_finetune_rejects_single_layer_network():
+    cfg = SystemConfig(n_aps=2, n_users=3)
+    beta = beta_stack(cfg, 1, 41)
+    with pytest.raises(ValidationError):
+        online_finetune(Mlp([6, 3]), beta[0].reshape(-1),
+                        batch_sinr_coefficients(beta, cfg))
+
+
+@pytest.mark.parametrize("lr", [math.nan, -0.01, 0.0, math.inf])
+def test_finetune_rejects_bad_step_size(tiny_run, lr):
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    with pytest.raises(ValidationError):
+        online_finetune(run.model, run.normalizer.transform(val[0]), co.take([0]),
+                        lr=lr)
 
 
 def test_finetune_zero_steps_is_the_plain_network(tiny_run):

@@ -25,7 +25,6 @@ from cfmimo.solver import (
     brute_force_maxmin,
     direct_feasibility,
     feasibility_fixed_point,
-    max_power_allocation,
     solve_maxmin_bisection,
 )
 
@@ -157,7 +156,7 @@ def test_solution_beats_max_power():
         net = generate_realization(CFG, rng)
         ctx = rate_context(net.beta, CFG)
         sol = solve_maxmin_bisection(ctx)
-        full = sinr_from_coefficients(sinr_coefficients(ctx), max_power_allocation(5))
+        full = sinr_from_coefficients(sinr_coefficients(ctx), np.ones(5))
         assert sol.t_star >= full.min() * (1.0 - 1e-9)
 
 
