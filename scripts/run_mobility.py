@@ -29,7 +29,6 @@ def main():
     ap.add_argument("--train-samples", type=int, default=10000)
     ap.add_argument("--eval-samples", type=int, default=1000)
     ap.add_argument("--iterations", type=int, default=10000)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
                     help="tiny run to check the plumbing")
     args = ap.parse_args()
@@ -63,8 +62,7 @@ def main():
 
     rates = {}
     for method in ("baseline", "dnn", "dnn-online"):
-        rep = evaluate(method, splits["test"], cfg, checkpoint=ck,
-                       workers=args.workers)
+        rep = evaluate(method, splits["test"], cfg, checkpoint=ck)
         save_report(args.out / f"report_{method}", rep, force=True)
         rates[method] = rep.summary()["avg_min_rate"]
         print(f"  {method:<10} avg min-rate {rates[method]:.4f} bit/s/Hz")

@@ -50,8 +50,7 @@ def run_size(m, k, args):
 
     row = {}
     for method in METHODS:
-        rep = evaluate(method, splits["test"], cfg, checkpoint=ck,
-                       workers=args.workers)
+        rep = evaluate(method, splits["test"], cfg, checkpoint=ck)
         save_report(out / f"report_{method}", rep, force=True)
         row[method] = rep.summary()["avg_min_rate"]
         print(f"  {method:<10} avg min-rate {row[method]:.4f} bit/s/Hz")
@@ -67,7 +66,6 @@ def main():
     ap.add_argument("--train-samples", type=int, default=20000)
     ap.add_argument("--eval-samples", type=int, default=1000)
     ap.add_argument("--iterations", type=int, default=10000)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--sizes", default="30x5,50x10",
                     help="comma-separated MxK pairs")
     ap.add_argument("--quick", action="store_true",

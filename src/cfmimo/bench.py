@@ -18,27 +18,20 @@ from .checkpoints import Checkpoint
 from .config import SystemConfig
 from .datasets import Dataset
 from .errors import ValidationError
-from .rates import BatchedCoefficients, rate_context, sinr_coefficients
+from .rates import batch_sinr_coefficients
 from .solver import solve_maxmin_bisection
-from .training import online_finetune
+from .training import FINETUNE_LR, FINETUNE_STEPS, online_finetune
 
 BENCH_METHODS = ("baseline", "dnn", "dnn-online")
 
 
-def _single_coeffs(beta_i, cfg):
-    return sinr_coefficients(rate_context(beta_i, cfg))
-
-
 def _run_once(method, beta_i, cfg, model, norm, steps, lr):
-    if method == "baseline":
-        return solve_maxmin_bisection(_single_coeffs(beta_i, cfg)).q_star
     if method == "dnn":
         return model.forward(norm.transform(beta_i))
-    co = _single_coeffs(beta_i, cfg)
-    batched = BatchedCoefficients(
-        co.signal[None], co.coupling[None], co.noise[None]
-    )
-    return online_finetune(model, norm.transform(beta_i), batched,
+    coeffs = batch_sinr_coefficients(beta_i[None], cfg)
+    if method == "baseline":
+        return solve_maxmin_bisection(coeffs.sample(0)).q_star
+    return online_finetune(model, norm.transform(beta_i), coeffs,
                            steps=steps, lr=lr)
 
 
@@ -50,8 +43,8 @@ def bench_methods(
     methods=BENCH_METHODS,
     n_samples: int | None = None,
     warmup: int = 3,
-    finetune_steps: int = 100,
-    finetune_lr: float = 0.01,
+    finetune_steps: int = FINETUNE_STEPS,
+    finetune_lr: float = FINETUNE_LR,
 ) -> dict:
     """Time every method per snapshot; returns method -> seconds array."""
     bad = set(methods) - set(BENCH_METHODS)

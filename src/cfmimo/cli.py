@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+from .config import FINETUNE_LR, FINETUNE_STEPS
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FORMAT = 3
@@ -64,9 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
             ev.add_argument("--method", required=True,
                             choices=("baseline", "max-power", "dnn", "dnn-online"))
         ev.add_argument("--checkpoint", type=Path, metavar="CFCK")
-        ev.add_argument("--workers", type=int, default=1)
-        ev.add_argument("--finetune-steps", type=int, default=100)
-        ev.add_argument("--finetune-lr", type=float, default=0.01)
+        ev.add_argument("--finetune-steps", type=int, default=FINETUNE_STEPS)
+        ev.add_argument("--finetune-lr", type=float, default=FINETUNE_LR)
         ev.set_defaults(fixed_method=fixed)
 
     be = sub.add_parser("bench", help="single-snapshot timing table, JSON to --out")
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--checkpoint", type=Path, metavar="CFCK")
     be.add_argument("--samples", type=int, default=100)
     be.add_argument("--warmup", type=int, default=3)
-    be.add_argument("--finetune-steps", type=int, default=100)
-    be.add_argument("--finetune-lr", type=float, default=0.01)
+    be.add_argument("--finetune-steps", type=int, default=FINETUNE_STEPS)
+    be.add_argument("--finetune-lr", type=float, default=FINETUNE_LR)
 
     rp = sub.add_parser("report", help="print the summary of a report directory")
     rp.add_argument("report_dir", type=Path)
@@ -210,7 +211,7 @@ def _cmd_eval(args) -> int:
     started = time.perf_counter()
     report = evaluate(method, ds, system, checkpoint=ck,
                       finetune_steps=args.finetune_steps,
-                      finetune_lr=args.finetune_lr, workers=args.workers)
+                      finetune_lr=args.finetune_lr)
     elapsed = time.perf_counter() - started
     save_report(out, report, force=args.force)
     s = report.summary()

@@ -16,6 +16,12 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+# Online fine-tuning defaults: Adam steps per snapshot and their step size.
+# Kept here, free of numpy, so the command line can show them before
+# --threads reaches the numeric libraries.
+FINETUNE_STEPS = 100
+FINETUNE_LR = 0.01
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -37,6 +43,10 @@ class SystemConfig:
     grid_shape: tuple[int, int] | None = None  # (nx, ny) AP grid, mobility scenario
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.n_aps < 1 or self.n_users < 1:
             raise ValidationError("need at least one AP and one user")
         if not 0 < self.d0_m < self.d1_m < self.area_side_m:

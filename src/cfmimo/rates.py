@@ -8,7 +8,10 @@ channel draws are needed.  The per-user SINR factors into
 
 where ``signal``, ``coupling`` and ``noise`` depend only on the network.
 That decomposition is the single source of truth used by the max-min solver
-and by the neural controller's gradients.
+and by the neural controller's gradients.  One kernel computes it over
+(..., M, K) gains: ``sinr_coefficients`` for one snapshot and
+``batch_sinr_coefficients`` for a stack run the same arithmetic, so a
+snapshot's coefficients are bit-identical whichever route built them.
 """
 
 from __future__ import annotations
@@ -89,21 +92,29 @@ class RateContext:
         return self.beta.shape[1]
 
 
+def _checked_gains(beta, ndim: int, cfg: SystemConfig, pilots: PilotSet | None):
+    """Validate an (M, K) or, with ndim=3, (N, M, K) gain array; default
+    the pilots to an orthogonal set of length cfg.tau."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != ndim:
+        raise ValidationError(
+            "beta must have shape " + ("(N, M, K)" if ndim == 3 else "(M, K)"))
+    if not np.all(np.isfinite(beta)) or beta.min() <= 0:
+        raise ValidationError("beta entries must be finite and positive")
+    k = beta.shape[-1]
+    if pilots is None:
+        pilots = PilotSet.orthogonal(k, cfg.tau)
+    elif pilots.gram_sq.shape[0] != k:
+        raise ValidationError("pilot set size does not match number of users")
+    return beta, pilots
+
+
 def rate_context(beta, cfg: SystemConfig, pilots: PilotSet | None = None) -> RateContext:
     """Build a RateContext from gains and a scenario config.
 
     Pilots default to an orthogonal set of length cfg.tau.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
-        raise ValidationError("beta must be an (M, K) matrix")
-    if not np.all(np.isfinite(beta)) or beta.min() <= 0:
-        raise ValidationError("beta entries must be finite and positive")
-    k = beta.shape[1]
-    if pilots is None:
-        pilots = PilotSet.orthogonal(k, cfg.tau)
-    elif pilots.gram_sq.shape[0] != k:
-        raise ValidationError("pilot set size does not match number of users")
+    beta, pilots = _checked_gains(beta, 2, cfg, pilots)
     c = c_coefficients(beta, pilots, cfg.rho_p)
     gamma = math.sqrt(pilots.tau * cfg.rho_p) * beta * c
     return RateContext(beta=beta, gamma=gamma, c=c, rho=cfg.rho, pilots=pilots)
@@ -118,24 +129,26 @@ class SinrCoefficients:
     noise: np.ndarray     # (K,)  receiver noise share
 
 
-def sinr_coefficients(ctx: RateContext) -> SinrCoefficients:
-    """Decompose the SINR of every user into q-independent coefficients.
+def _decompose(gamma, beta, gram_sq, rho):
+    """signal, coupling and noise over (..., M, K) gains.
 
     The coupling matrix row k collects, per interfering user k', the
     coherent pilot-contamination term (off-diagonal only) plus the
     beamforming-uncertainty term; the noise entry scales with 1/rho.
     """
-    gamma, beta = ctx.gamma, ctx.beta
-    a = gamma.sum(axis=0)
-    contamination = (gamma / beta).T @ beta
-    contamination = contamination ** 2 * ctx.pilots.gram_sq
-    np.fill_diagonal(contamination, 0.0)
-    uncertainty = gamma.T @ beta
+    a = gamma.sum(axis=-2)
+    contamination = np.einsum("...mk,...mi->...ki", gamma / beta, beta) ** 2
+    contamination *= gram_sq
+    diag = np.arange(gamma.shape[-1])
+    contamination[..., diag, diag] = 0.0
+    uncertainty = np.einsum("...mk,...mi->...ki", gamma, beta)
+    return a ** 2, contamination + uncertainty, a / rho
+
+
+def sinr_coefficients(ctx: RateContext) -> SinrCoefficients:
+    """Decompose the SINR of every user into q-independent coefficients."""
     return SinrCoefficients(
-        signal=a ** 2,
-        coupling=contamination + uncertainty,
-        noise=a / ctx.rho,
-    )
+        *_decompose(ctx.gamma, ctx.beta, ctx.pilots.gram_sq, ctx.rho))
 
 
 def sinr_from_coefficients(coeffs: SinrCoefficients, q):
@@ -195,28 +208,10 @@ def batch_sinr_coefficients(
     beta, cfg: SystemConfig, pilots: PilotSet | None = None
 ) -> BatchedCoefficients:
     """sinr_coefficients over an (N, M, K) stack in one vectorized pass."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 3:
-        raise ValidationError("batched beta must have shape (N, M, K)")
-    if not np.all(np.isfinite(beta)) or beta.min() <= 0:
-        raise ValidationError("beta entries must be finite and positive")
-    k = beta.shape[2]
-    if pilots is None:
-        pilots = PilotSet.orthogonal(k, cfg.tau)
-    elif pilots.gram_sq.shape[0] != k:
-        raise ValidationError("pilot set size does not match number of users")
+    beta, pilots = _checked_gains(beta, 3, cfg, pilots)
     gamma = gamma_coefficients(beta, pilots, cfg.rho_p)
-    a = gamma.sum(axis=1)
-    contamination = np.einsum("nmk,nmi->nki", gamma / beta, beta) ** 2
-    contamination *= pilots.gram_sq
-    diag = np.arange(k)
-    contamination[:, diag, diag] = 0.0
-    uncertainty = np.einsum("nmk,nmi->nki", gamma, beta)
     return BatchedCoefficients(
-        signal=a ** 2,
-        coupling=contamination + uncertainty,
-        noise=a / cfg.rho,
-    )
+        *_decompose(gamma, beta, pilots.gram_sq, cfg.rho))
 
 
 def batch_sinr(coeffs: BatchedCoefficients, q):

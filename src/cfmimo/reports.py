@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoints import Checkpoint
-from .config import SystemConfig, TrainConfig, scenario_digest
+from .config import SystemConfig, scenario_digest
 from .datasets import Dataset
 from .errors import FormatError, ValidationError
-from .mlp import Mlp, Normalizer
 from .rates import batch_rates, batch_sinr_coefficients, net_throughput
 from .solver import solve_maxmin_bisection
-from .training import online_finetune
+from .training import FINETUNE_LR, FINETUNE_STEPS, online_finetune
 
 METHODS = ("baseline", "max-power", "dnn", "dnn-online")
 
@@ -90,95 +88,53 @@ class RunReport:
         }
 
 
-def _model_state(ck: Checkpoint):
-    return (ck.model.sizes, ck.model.params, ck.normalizer.mode,
-            ck.normalizer.mean, ck.normalizer.std)
-
-
-def _restore_model(state):
-    sizes, params, mode, mean, std = state
-    return Mlp(sizes, params.copy()), Normalizer(mode, mean, std)
-
-
-def _method_q(method, beta, cfg, model_state, steps, lr):
-    """Power vectors and per-sample seconds for a chunk of snapshots.
-
-    Top level so worker processes can run it.  For the vectorized methods
-    the batch time is spread evenly over the samples.
-    """
-    n, k = beta.shape[0], beta.shape[2]
-    started = time.perf_counter()
-    if method == "max-power":
-        q = np.ones((n, k))
-        return q, np.full(n, (time.perf_counter() - started) / n)
-    if method in ("dnn", "dnn-online"):
-        model, norm = _restore_model(model_state)
-        x = norm.transform(beta)
-        if method == "dnn":
-            q = model.forward(x)
-            return q, np.full(n, (time.perf_counter() - started) / n)
-    coeffs = batch_sinr_coefficients(beta, cfg)
-    q = np.empty((n, k))
-    wall = np.empty(n)
-    for i in range(n):
-        tick = time.perf_counter()
-        if method == "baseline":
-            q[i] = solve_maxmin_bisection(coeffs.sample(i)).q_star
-        else:
-            q[i] = online_finetune(model, x[i], coeffs.take([i]),
-                                   steps=steps, lr=lr)
-        wall[i] = time.perf_counter() - tick
-    return q, wall
-
-
-def _method_q_star(args):
-    return _method_q(*args)
-
-
 def evaluate(
     method: str,
     dataset: Dataset,
     cfg: SystemConfig,
     *,
     checkpoint: Checkpoint | None = None,
-    finetune_steps: int = 100,
-    finetune_lr: float = 0.01,
-    workers: int = 1,
+    finetune_steps: int = FINETUNE_STEPS,
+    finetune_lr: float = FINETUNE_LR,
 ) -> RunReport:
     """Run one allocation method over a dataset and collect the rates.
 
-    Per-sample work is independent, so ``workers`` > 1 splits the dataset
-    into contiguous chunks across processes without changing any result.
+    ``wall_s`` holds the seconds spent producing each sample's q; the
+    vectorized methods spread their batch time evenly over the samples.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, pick from {METHODS}")
     if dataset.digest != scenario_digest(cfg):
         raise ValidationError("dataset was generated under a different scenario")
-    model_state = None
     if method in ("dnn", "dnn-online"):
         if checkpoint is None:
             raise ValidationError(f"method {method!r} needs a checkpoint")
         if (checkpoint.n_aps, checkpoint.n_users) != (cfg.n_aps, cfg.n_users):
             raise ValidationError("checkpoint dims do not match the scenario")
-        model_state = _model_state(checkpoint)
 
     beta = dataset.beta
-    parallel = workers > 1 and method in ("baseline", "dnn-online") and len(dataset) > 1
-    if parallel:
-        bounds = np.linspace(0, len(dataset), workers + 1).astype(int)
-        jobs = [
-            (method, beta[a:b], cfg, model_state, finetune_steps, finetune_lr)
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_method_q_star, jobs))
-        q = np.concatenate([c[0] for c in chunks])
-        wall = np.concatenate([c[1] for c in chunks])
+    n, k = beta.shape[0], beta.shape[2]
+    coeffs = batch_sinr_coefficients(beta, cfg)
+    started = time.perf_counter()
+    if method in ("max-power", "dnn"):
+        q = (np.ones((n, k)) if method == "max-power"
+             else checkpoint.model.forward(checkpoint.normalizer.transform(beta)))
+        wall = np.full(n, (time.perf_counter() - started) / n)
     else:
-        q, wall = _method_q(method, beta, cfg, model_state,
-                            finetune_steps, finetune_lr)
+        if method == "dnn-online":
+            x = checkpoint.normalizer.transform(beta)
+        q = np.empty((n, k))
+        wall = np.empty(n)
+        for i in range(n):
+            tick = time.perf_counter()
+            if method == "baseline":
+                q[i] = solve_maxmin_bisection(coeffs.sample(i)).q_star
+            else:
+                q[i] = online_finetune(checkpoint.model, x[i], coeffs.take([i]),
+                                       steps=finetune_steps, lr=finetune_lr)
+            wall[i] = time.perf_counter() - tick
 
-    rates = batch_rates(batch_sinr_coefficients(beta, cfg), q)
+    rates = batch_rates(coeffs, q)
     return RunReport(
         method=method,
         n_aps=cfg.n_aps,

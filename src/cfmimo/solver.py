@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .rates import LN2, RateContext, SinrCoefficients, sinr_coefficients
+from .rates import (LN2, RateContext, SinrCoefficients, sinr_coefficients,
+                    sinr_from_coefficients)
 
 # Relative width at which the bisection bracket is considered resolved.
 BISECTION_REL_TOL = 1e-4
@@ -67,8 +68,7 @@ class MaxMinSolution:
 
 
 def _achieves_target(q, t, coeffs, slack):
-    sinr = q * coeffs.signal / (coeffs.coupling @ q + coeffs.noise)
-    return bool(np.all(sinr >= t * (1.0 - slack)))
+    return bool(np.all(sinr_from_coefficients(coeffs, q) >= t * (1.0 - slack)))
 
 
 def direct_feasibility(t, coeffs: SinrCoefficients, slack=FEASIBILITY_REL_SLACK):

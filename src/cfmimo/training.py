@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, TrainConfig
+from .config import FINETUNE_LR, FINETUNE_STEPS, SystemConfig, TrainConfig
 from .errors import ValidationError
 from .mlp import (AdamState, Mlp, Normalizer, adam_step, build_model, elu, elu_grad,
                   fit_normalizer)
@@ -134,10 +134,6 @@ def train_model(
     return run
 
 
-FINETUNE_STEPS = 100
-FINETUNE_LR = 0.01
-
-
 def _first_layer_shift(x, mu, nu, step, lr, beta1, beta2, eps, rows):
     """Change of h = W1 x under one Adam step on W1, never forming W1.
 
@@ -166,7 +162,6 @@ def online_finetune(
     *,
     steps: int = FINETUNE_STEPS,
     lr: float = FINETUNE_LR,
-    tcfg: TrainConfig | None = None,
 ) -> np.ndarray:
     """Adapt the trained net to one snapshot with Adam, return the best q.
 
@@ -190,8 +185,7 @@ def online_finetune(
         raise ValidationError(f"fine-tuning step size must be finite and > 0, got {lr}")
     if model.n_layers < 2:
         raise ValidationError("fine-tuning needs a network of two layers at least")
-    if tcfg is None:
-        tcfg = TrainConfig()
+    tcfg = TrainConfig()
     beta1, beta2, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps
     n0, n1, n2 = model.sizes[:3]
     tail = model.params[n0 * n1:].copy()  # b1, then every later layer

@@ -151,6 +151,11 @@ def test_bad_config_is_validation_error(workspace, tmp_path):
                  "gen-data"]) == 2
     assert main(["--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "d"), "gen-data"]) == 2
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"system": {"noise_figure_db": NaN}}')
+    assert main(["--config", str(nan), "--out", str(tmp_path / "d"),
+                 "gen-data"]) == 2
+    assert not (tmp_path / "d").exists()
 
 
 def test_foreign_dataset_is_format_error(workspace, tmp_path):

@@ -82,6 +82,28 @@ def test_train_config_rejects_bad_step_constants(field, value):
         TrainConfig(**{field: value})
 
 
+SYSTEM_FLOAT_FIELDS = (
+    "carrier_freq_hz", "area_side_m", "ap_height_m", "user_height_m", "d0_m",
+    "d1_m", "bandwidth_hz", "noise_figure_db", "shadow_std_db",
+    "pilot_power_mw", "data_power_mw",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", SYSTEM_FLOAT_FIELDS)
+def test_system_config_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_config_file_rejects_non_finite_physics(tmp_path, literal):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"system": {{"shadow_std_db": {literal}}}}}')
+    with pytest.raises(ValidationError, match="shadow_std_db"):
+        load_config(path)
+
+
 def test_config_file_rejects_nan_epsilon(tmp_path):
     # json.load accepts the NaN literal, so validation has to catch it
     path = tmp_path / "cfg.json"

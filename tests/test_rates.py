@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cfmimo.config import SystemConfig
+from cfmimo.datasets import generate_static_dataset
 from cfmimo.errors import ValidationError
 from cfmimo.geometry import generate_realization
 from cfmimo.rates import (
     PilotSet,
+    batch_sinr_coefficients,
     c_coefficients,
     gamma_coefficients,
     min_rate,
@@ -192,6 +194,20 @@ def test_coefficients_match_user_rate():
         sinr = sinr_from_coefficients(sinr_coefficients(ctx), q)
         direct = 2.0 ** user_rate(ctx, q) - 1.0
         assert np.allclose(sinr, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
+def test_single_and_batched_coefficients_bit_identical(n_aps, n_users):
+    # one kernel: a snapshot's coefficients do not depend on the route
+    cfg = SystemConfig(n_aps=n_aps, n_users=n_users)
+    beta = generate_static_dataset(cfg, 20, seed=3).beta
+    batched = batch_sinr_coefficients(beta, cfg)
+    for i in range(len(beta)):
+        single = sinr_coefficients(rate_context(beta[i], cfg))
+        stacked = batched.sample(i)
+        assert np.array_equal(single.signal, stacked.signal)
+        assert np.array_equal(single.coupling, stacked.coupling)
+        assert np.array_equal(single.noise, stacked.noise)
 
 
 def test_contamination_appears_with_shared_pilots():

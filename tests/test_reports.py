@@ -7,6 +7,7 @@ from cfmimo.checkpoints import Checkpoint
 from cfmimo.config import DataConfig, SystemConfig, TrainConfig
 from cfmimo.datasets import generate_splits, generate_static_dataset
 from cfmimo.errors import FormatError, ValidationError
+from cfmimo.rates import rate_context
 from cfmimo.reports import (
     RunReport,
     audit_report,
@@ -14,6 +15,7 @@ from cfmimo.reports import (
     load_report,
     save_report,
 )
+from cfmimo.solver import solve_maxmin_bisection
 from cfmimo.training import train_model
 
 SMALL = SystemConfig(n_aps=4, n_users=2)
@@ -74,12 +76,17 @@ def test_evaluate_rejects_bad_method_or_missing_checkpoint(setup):
         evaluate("dnn", splits["test"], SMALL)
 
 
-def test_parallel_evaluation_identical(setup):
-    splits, ck = setup
-    serial = evaluate("baseline", splits["test"], SMALL, workers=1)
-    parallel = evaluate("baseline", splits["test"], SMALL, workers=2)
-    assert np.array_equal(serial.q, parallel.q)
-    assert np.array_equal(serial.rates, parallel.rates)
+def test_baseline_report_equals_single_snapshot_solve(setup):
+    # evaluate's batched coefficients and a per-snapshot rate context give
+    # the solver bit-identical input, so the two routes agree exactly
+    splits, _ = setup
+    default = SystemConfig()
+    for cfg, ds in ((SMALL, splits["test"]),
+                    (default, generate_static_dataset(default, 8, seed=0))):
+        rep = evaluate("baseline", ds, cfg)
+        for i in range(len(ds)):
+            single = solve_maxmin_bisection(rate_context(ds.beta[i], cfg))
+            assert np.array_equal(rep.q[i], single.q_star)
 
 
 def test_summary_percentile_oracle():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmimo.config import SystemConfig
+from cfmimo.datasets import generate_static_dataset
 from cfmimo.errors import ValidationError
 from cfmimo.geometry import generate_realization
 from cfmimo.rates import (
@@ -19,6 +20,8 @@ from cfmimo.rates import (
     user_rate,
 )
 from cfmimo.solver import (
+    BISECTION_REL_TOL,
+    FEASIBILITY_REL_SLACK,
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
@@ -242,3 +245,37 @@ def test_accelerated_and_plain_routes_agree(seed):
             frac * t_star, coeffs, early_exit=False, direct_after=None
         )
         assert fast.status == plain.status == (FEASIBLE if frac < 1 else INFEASIBLE)
+
+
+def perron_target(coeffs):
+    """Exact max-min SINR under the per-user cap q <= 1 (Zheng et al., IEEE
+    TIT 2016): 1 / max_j rho(D^-1 C + D^-1 n e_j^T), D = diag(signal)."""
+    k = len(coeffs.signal)
+    b = coeffs.coupling / coeffs.signal[:, None]
+    n = coeffs.noise / coeffs.signal
+    # stack[j, r, c] = b[r, c] + n[r] * (c == j)
+    stack = b[None] + n[None, :, None] * np.eye(k)[:, None, :]
+    return 1.0 / np.abs(np.linalg.eigvals(stack)).max()
+
+
+def test_perron_oracle_single_user_closed_form():
+    assert perron_target(UNIT) == pytest.approx(0.25, rel=1e-14)
+
+
+@settings(max_examples=45, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 5, 10]), st.booleans())
+def test_bisection_brackets_perron_oracle(seed, n_users, scenario):
+    rng = np.random.default_rng(seed)
+    if scenario:
+        n_aps = {2: 10, 5: 30, 10: 50}[n_users]  # the paper's sizes
+        cfg = SystemConfig(n_aps=n_aps, n_users=n_users)
+        beta = generate_static_dataset(cfg, 1, seed=seed).beta[0]
+        ctx = rate_context(beta, cfg)
+    else:
+        ctx = random_context(rng, int(rng.integers(1, 4 * n_users + 1)), n_users)
+    coeffs = sinr_coefficients(ctx)
+    t_star = solve_maxmin_bisection(coeffs).t_star
+    t_perron = perron_target(coeffs)
+    # the solver accepts a target met to within FEASIBILITY_REL_SLACK
+    assert t_star <= t_perron * (1.0 + FEASIBILITY_REL_SLACK)
+    assert t_perron <= t_star / (1.0 - BISECTION_REL_TOL)
