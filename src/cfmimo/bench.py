@@ -55,6 +55,10 @@ def bench_methods(
         if checkpoint is None:
             raise ValidationError("benching the network needs a checkpoint")
         model, norm = checkpoint.model, checkpoint.normalizer
+    if n_samples is not None and n_samples < 1:
+        raise ValidationError(f"need at least 1 snapshot, not {n_samples}")
+    if warmup < 0:
+        raise ValidationError(f"warm-up count must be >= 0, not {warmup}")
     beta = dataset.beta if n_samples is None else dataset.beta[:n_samples]
     if len(beta) == 0:
         raise ValidationError("no snapshots to bench")

@@ -244,7 +244,7 @@ def _cmd_bench(args) -> int:
                           finetune_lr=args.finetune_lr)
     speedup = speedup_table(times)
     payload = {
-        "n_samples": int(min(args.samples, len(ds))),
+        "n_samples": len(times["baseline"]),
         "n_aps": system.n_aps,
         "n_users": system.n_users,
         "mean_s": {m: float(t.mean()) for m, t in times.items()},

@@ -150,6 +150,10 @@ def save_dataset(path, ds: Dataset, *, force: bool = False):
     if len(ds.digest) != 32:
         raise ValidationError("digest must be 32 bytes")
     beta = np.ascontiguousarray(ds.beta, dtype=np.float64)
+    if beta.ndim != 3 or 0 in beta.shape:
+        raise ValidationError(
+            f"beta must be a non-empty (samples, APs, users) stack, "
+            f"not shape {beta.shape}")
     n, m, k = beta.shape
     has_pos = ds.ap_positions is not None and ds.user_positions is not None
     header = _HEADER.pack(
@@ -176,6 +180,8 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: unsupported version {version}")
     if scen not in _SCENARIO_NAMES:
         raise FormatError(f"{path}: unknown scenario code {scen}")
+    if 0 in (n, m, k):
+        raise FormatError(f"{path}: header gives {n} samples, {m} APs, {k} users")
     expected = n * m * k * 8
     if has_pos:
         expected += (m * 2 + n * k * 2) * 8

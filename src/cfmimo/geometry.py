@@ -129,20 +129,14 @@ def grid_ap_positions(cfg: SystemConfig) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def generate_realization(cfg: SystemConfig, rng, placement="uniform") -> NetworkRealization:
-    """Draw one network snapshot.
+def generate_realization(cfg: SystemConfig, rng) -> NetworkRealization:
+    """Draw one network snapshot with uniformly scattered APs and users.
 
-    placement 'uniform' scatters APs uniformly; 'grid' uses the configured
-    regular grid.  Users are always uniform.  Draw order from the generator:
-    AP positions (uniform placement only), user positions, shadowing.
+    Draw order from the generator: AP positions, user positions, shadowing.
+    Gridded APs for the mobility scenario come from ``grid_ap_positions``.
     """
     d = cfg.area_side_m
-    if placement == "uniform":
-        ap = rng.uniform(0.0, d, size=(cfg.n_aps, 2))
-    elif placement == "grid":
-        ap = grid_ap_positions(cfg)
-    else:
-        raise ValidationError(f"unknown placement '{placement}'")
+    ap = rng.uniform(0.0, d, size=(cfg.n_aps, 2))
     users = rng.uniform(0.0, d, size=(cfg.n_users, 2))
     z = rng.standard_normal((cfg.n_aps, cfg.n_users))
     beta = large_scale_fading(cfg, ap, users, z)

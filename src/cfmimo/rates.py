@@ -1,8 +1,11 @@
 """Closed-form uplink rates under matched-filter combining.
 
-Everything here is a deterministic function of the large-scale gains beta,
-the pilot assignment, and the normalized transmit SNRs; no small-scale
-channel draws are needed.  The per-user SINR factors into
+Everything here is a deterministic function of the large-scale gains beta
+and the normalized transmit SNRs; no small-scale channel draws are needed.
+The pilot model is orthogonal: each user has its own pilot of length
+tau >= K (``SystemConfig`` enforces that), so no user's channel estimate
+picks up another user's channel, and tau enters only through the MMSE
+estimation coefficients.  The per-user SINR factors into
 
     sinr_k(q) = q_k * signal_k / ((coupling @ q)_k + noise_k)
 
@@ -27,54 +30,21 @@ from .errors import ValidationError
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class PilotSet:
-    """Pilot assignment summarized by squared inner products.
+def c_coefficients(beta, tau: int, rho_p: float):
+    """MMSE estimation coefficients c for each AP/user pair under
+    orthogonal pilots of length tau.
 
-    gram_sq[k, k'] = |<pilot_k, pilot_k'>|^2, symmetric with unit diagonal.
-    """
-
-    gram_sq: np.ndarray
-    tau: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gram_sq, dtype=float)
-        object.__setattr__(self, "gram_sq", g)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValidationError("pilot gram must be square")
-        if not np.allclose(g, g.T):
-            raise ValidationError("pilot gram must be symmetric")
-        if not np.allclose(np.diag(g), 1.0):
-            raise ValidationError("pilot gram diagonal must be 1")
-        if g.min() < -1e-12 or g.max() > 1.0 + 1e-12:
-            raise ValidationError("pilot gram entries must lie in [0, 1]")
-        if self.tau < 1:
-            raise ValidationError("pilot length must be at least 1")
-
-    @classmethod
-    def orthogonal(cls, n_users: int, tau: int | None = None) -> "PilotSet":
-        tau = n_users if tau is None else tau
-        if tau < n_users:
-            raise ValidationError("orthogonal pilots need length >= number of users")
-        return cls(np.eye(n_users), tau)
-
-
-def c_coefficients(beta, pilots: PilotSet, rho_p: float):
-    """MMSE estimation coefficients c for each AP/user pair.
-
-    c[m, k] = sqrt(tau rho_p) beta[m, k] /
-              (tau rho_p * sum_k' beta[m, k'] gram_sq[k, k'] + 1)
+    c[m, k] = sqrt(tau rho_p) beta[m, k] / (tau rho_p beta[m, k] + 1)
     """
     beta = np.asarray(beta, dtype=float)
-    trp = pilots.tau * rho_p
-    denom = trp * (beta @ pilots.gram_sq) + 1.0
-    return math.sqrt(trp) * beta / denom
+    trp = tau * rho_p
+    return math.sqrt(trp) * beta / (trp * beta + 1.0)
 
 
-def gamma_coefficients(beta, pilots: PilotSet, rho_p: float):
+def gamma_coefficients(beta, tau: int, rho_p: float):
     """Mean-square channel-estimate gains gamma = sqrt(tau rho_p) beta c."""
     beta = np.asarray(beta, dtype=float)
-    return math.sqrt(pilots.tau * rho_p) * beta * c_coefficients(beta, pilots, rho_p)
+    return math.sqrt(tau * rho_p) * beta * c_coefficients(beta, tau, rho_p)
 
 
 @dataclass
@@ -83,41 +53,29 @@ class RateContext:
 
     beta: np.ndarray    # (M, K)
     gamma: np.ndarray   # (M, K)
-    c: np.ndarray       # (M, K)
     rho: float
-    pilots: PilotSet
 
     @property
     def n_users(self) -> int:
         return self.beta.shape[1]
 
 
-def _checked_gains(beta, ndim: int, cfg: SystemConfig, pilots: PilotSet | None):
-    """Validate an (M, K) or, with ndim=3, (N, M, K) gain array; default
-    the pilots to an orthogonal set of length cfg.tau."""
+def _checked_gains(beta, ndim: int):
+    """Validate an (M, K) or, with ndim=3, (N, M, K) gain array."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != ndim:
         raise ValidationError(
             "beta must have shape " + ("(N, M, K)" if ndim == 3 else "(M, K)"))
     if not np.all(np.isfinite(beta)) or beta.min() <= 0:
         raise ValidationError("beta entries must be finite and positive")
-    k = beta.shape[-1]
-    if pilots is None:
-        pilots = PilotSet.orthogonal(k, cfg.tau)
-    elif pilots.gram_sq.shape[0] != k:
-        raise ValidationError("pilot set size does not match number of users")
-    return beta, pilots
+    return beta
 
 
-def rate_context(beta, cfg: SystemConfig, pilots: PilotSet | None = None) -> RateContext:
-    """Build a RateContext from gains and a scenario config.
-
-    Pilots default to an orthogonal set of length cfg.tau.
-    """
-    beta, pilots = _checked_gains(beta, 2, cfg, pilots)
-    c = c_coefficients(beta, pilots, cfg.rho_p)
-    gamma = math.sqrt(pilots.tau * cfg.rho_p) * beta * c
-    return RateContext(beta=beta, gamma=gamma, c=c, rho=cfg.rho, pilots=pilots)
+def rate_context(beta, cfg: SystemConfig) -> RateContext:
+    """Build a RateContext from gains and a scenario config."""
+    beta = _checked_gains(beta, 2)
+    gamma = gamma_coefficients(beta, cfg.tau, cfg.rho_p)
+    return RateContext(beta=beta, gamma=gamma, rho=cfg.rho)
 
 
 @dataclass
@@ -125,30 +83,25 @@ class SinrCoefficients:
     """Network-dependent SINR pieces: sinr = q*signal / (coupling@q + noise)."""
 
     signal: np.ndarray    # (K,)  coherent beamforming gain
-    coupling: np.ndarray  # (K, K) pilot contamination + beamforming uncertainty
+    coupling: np.ndarray  # (K, K) beamforming uncertainty
     noise: np.ndarray     # (K,)  receiver noise share
 
 
-def _decompose(gamma, beta, gram_sq, rho):
+def _decompose(gamma, beta, rho):
     """signal, coupling and noise over (..., M, K) gains.
 
-    The coupling matrix row k collects, per interfering user k', the
-    coherent pilot-contamination term (off-diagonal only) plus the
-    beamforming-uncertainty term; the noise entry scales with 1/rho.
+    Row k of the coupling matrix holds, per user k', the beamforming
+    uncertainty sum_m gamma[m, k] beta[m, k']; the noise entry scales
+    with 1/rho.
     """
     a = gamma.sum(axis=-2)
-    contamination = np.einsum("...mk,...mi->...ki", gamma / beta, beta) ** 2
-    contamination *= gram_sq
-    diag = np.arange(gamma.shape[-1])
-    contamination[..., diag, diag] = 0.0
-    uncertainty = np.einsum("...mk,...mi->...ki", gamma, beta)
-    return a ** 2, contamination + uncertainty, a / rho
+    coupling = np.einsum("...mk,...mi->...ki", gamma, beta)
+    return a ** 2, coupling, a / rho
 
 
 def sinr_coefficients(ctx: RateContext) -> SinrCoefficients:
     """Decompose the SINR of every user into q-independent coefficients."""
-    return SinrCoefficients(
-        *_decompose(ctx.gamma, ctx.beta, ctx.pilots.gram_sq, ctx.rho))
+    return SinrCoefficients(*_decompose(ctx.gamma, ctx.beta, ctx.rho))
 
 
 def sinr_from_coefficients(coeffs: SinrCoefficients, q):
@@ -204,14 +157,11 @@ class BatchedCoefficients:
         return SinrCoefficients(self.signal[i], self.coupling[i], self.noise[i])
 
 
-def batch_sinr_coefficients(
-    beta, cfg: SystemConfig, pilots: PilotSet | None = None
-) -> BatchedCoefficients:
+def batch_sinr_coefficients(beta, cfg: SystemConfig) -> BatchedCoefficients:
     """sinr_coefficients over an (N, M, K) stack in one vectorized pass."""
-    beta, pilots = _checked_gains(beta, 3, cfg, pilots)
-    gamma = gamma_coefficients(beta, pilots, cfg.rho_p)
-    return BatchedCoefficients(
-        *_decompose(gamma, beta, pilots.gram_sq, cfg.rho))
+    beta = _checked_gains(beta, 3)
+    gamma = gamma_coefficients(beta, cfg.tau, cfg.rho_p)
+    return BatchedCoefficients(*_decompose(gamma, beta, cfg.rho))
 
 
 def batch_sinr(coeffs: BatchedCoefficients, q):

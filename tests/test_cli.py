@@ -7,7 +7,7 @@ from cfmimo.bench import bench_methods, speedup_table
 from cfmimo.checkpoints import Checkpoint, load_checkpoint
 from cfmimo.cli import main
 from cfmimo.config import DataConfig, SystemConfig, TrainConfig
-from cfmimo.datasets import generate_splits
+from cfmimo.datasets import _HEADER, generate_splits
 from cfmimo.errors import ValidationError
 from cfmimo.training import train_model
 
@@ -167,6 +167,20 @@ def test_foreign_dataset_is_format_error(workspace, tmp_path):
                  "eval", "--data", str(fake), "--method", "max-power"]) == 3
 
 
+def test_zero_sample_split_is_format_error(workspace, tmp_path, capsys):
+    _, cfg_path, data_dir, _ = workspace
+    fields = list(_HEADER.unpack_from((data_dir / "val.cfmm").read_bytes()))
+    fields[6] = 0  # samples; the payload of zero samples is empty
+    empty = tmp_path / "data"
+    empty.mkdir()
+    (empty / "val.cfmm").write_bytes(_HEADER.pack(*fields))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "r"),
+                 "eval", "--data", str(empty), "--split", "val",
+                 "--method", "max-power"]) == 3
+    assert "0 samples" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_split_is_validation_error(workspace, tmp_path):
     _, cfg_path, _, _ = workspace
     empty = tmp_path / "data"
@@ -187,9 +201,30 @@ def test_bench_command(workspace, capsys):
                  "--samples", "4", "--warmup", "1",
                  "--finetune-steps", "5"]) == 0
     table = json.loads(out.read_text())
+    assert table["n_samples"] == 4
     assert set(table["mean_s"]) == {"baseline", "dnn", "dnn-online"}
     assert table["speedup_vs_baseline"]["baseline"] == pytest.approx(1.0)
     assert all(v > 0 for v in table["mean_s"].values())
+
+
+def test_bench_counts_the_snapshots_it_timed(workspace):
+    root, cfg_path, data_dir, _ = workspace
+    out = root / "bench_all.json"
+    # more than the 6-snapshot test split holds: all 6 are timed
+    assert main(["--config", str(cfg_path), "--out", str(out), "bench",
+                 "--data", str(data_dir), "--samples", "50",
+                 "--warmup", "0"]) == 0
+    assert json.loads(out.read_text())["n_samples"] == 6
+
+
+@pytest.mark.parametrize("flags", [["--samples", "-4"], ["--samples", "0"],
+                                   ["--warmup", "-1"]])
+def test_bench_bad_counts_are_validation_errors(workspace, tmp_path, flags):
+    _, cfg_path, data_dir, _ = workspace
+    out = tmp_path / "bench.json"
+    assert main(["--config", str(cfg_path), "--out", str(out), "bench",
+                 "--data", str(data_dir), *flags]) == 2
+    assert not out.exists()
 
 
 # --- bench internals --------------------------------------------------------

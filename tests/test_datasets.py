@@ -3,6 +3,9 @@ import pytest
 
 from cfmimo.config import DataConfig, SystemConfig, scenario_digest
 from cfmimo.datasets import (
+    _HEADER,
+    MAGIC,
+    VERSION,
     Dataset,
     generate_mobility_dataset,
     generate_splits,
@@ -132,6 +135,26 @@ def test_refuses_overwrite_without_force(tmp_path):
     with pytest.raises(ValidationError):
         save_dataset(path, ds)
     save_dataset(path, ds, force=True)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0)])
+def test_zero_size_header_is_format_error(tmp_path, shape):
+    # a consistent file whose header counts no samples, APs or users
+    n, m, k = shape
+    path = tmp_path / "empty.cfmm"
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 0, 0, m, k, n, 0, 0, bytes(32)))
+    with pytest.raises(FormatError, match=f"{n} samples, {m} APs, {k} users"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (3, 2)])
+def test_save_refuses_empty_or_flat_gains(tmp_path, shape):
+    ds = generate_static_dataset(SMALL, 2, seed=0)
+    ds.beta = np.ones(shape)
+    path = tmp_path / "empty.cfmm"
+    with pytest.raises(ValidationError, match="non-empty"):
+        save_dataset(path, ds)
+    assert not path.exists()
 
 
 def test_rejects_foreign_and_damaged_files(tmp_path):

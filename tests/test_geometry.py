@@ -162,7 +162,7 @@ def test_grid_positions_30_aps():
 
 def test_grid_requires_configured_shape():
     with pytest.raises(ValidationError):
-        generate_realization(CFG, np.random.default_rng(0), placement="grid")
+        grid_ap_positions(CFG)
 
 
 def test_uniform_placement_mean_position():

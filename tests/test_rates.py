@@ -8,7 +8,7 @@ from cfmimo.datasets import generate_static_dataset
 from cfmimo.errors import ValidationError
 from cfmimo.geometry import generate_realization
 from cfmimo.rates import (
-    PilotSet,
+    RateContext,
     batch_sinr_coefficients,
     c_coefficients,
     gamma_coefficients,
@@ -23,72 +23,52 @@ from cfmimo.rates import (
 CFG = SystemConfig()
 
 
-def unit_context(beta, rho=1.0, rho_p=1.0, tau=None, gram_sq=None):
-    """Hand-built context with freely chosen normalized SNRs."""
-    from cfmimo.rates import RateContext
-
+def unit_context(beta):
+    """Hand-built context at rho = rho_p = 1 with pilots of length K."""
     beta = np.asarray(beta, dtype=float)
-    k = beta.shape[1]
-    if gram_sq is None:
-        pilots = PilotSet.orthogonal(k, tau or k)
-    else:
-        pilots = PilotSet(np.asarray(gram_sq, dtype=float), tau or k)
-    c = c_coefficients(beta, pilots, rho_p)
-    gamma = math.sqrt(pilots.tau * rho_p) * beta * c
-    return RateContext(beta=beta, gamma=gamma, c=c, rho=rho, pilots=pilots)
+    gamma = gamma_coefficients(beta, beta.shape[1], 1.0)
+    return RateContext(beta=beta, gamma=gamma, rho=1.0)
 
 
-# --- pilots -----------------------------------------------------------------
-
-def test_orthogonal_pilots_identity_gram():
-    p = PilotSet.orthogonal(5)
-    assert p.tau == 5
-    assert np.array_equal(p.gram_sq, np.eye(5))
-
-
-def test_pilot_set_validation():
-    with pytest.raises(ValidationError):
-        PilotSet(np.array([[1.0, 0.5], [0.4, 1.0]]), 2)  # asymmetric
-    with pytest.raises(ValidationError):
-        PilotSet(np.array([[1.0, 1.5], [1.5, 1.0]]), 2)  # entry > 1
-    with pytest.raises(ValidationError):
-        PilotSet(np.array([[0.9, 0.0], [0.0, 0.9]]), 2)  # diagonal != 1
-    with pytest.raises(ValidationError):
-        PilotSet.orthogonal(5, tau=4)  # too short to be orthogonal
+def closed_form_coefficients(beta, tau, rho_p, rho):
+    """Loop-by-loop transcription of the orthogonal-pilot closed form:
+    gamma_mk = tau rho_p beta_mk^2 / (tau rho_p beta_mk + 1), and per user
+    k signal (sum_m gamma_mk)^2, coupling sum_m gamma_mk beta_mk' and noise
+    sum_m gamma_mk / rho."""
+    m, k = beta.shape
+    gamma = [[tau * rho_p * beta[i, j] ** 2 / (tau * rho_p * beta[i, j] + 1.0)
+              for j in range(k)] for i in range(m)]
+    signal, coupling, noise = np.empty(k), np.empty((k, k)), np.empty(k)
+    for u in range(k):
+        a = math.fsum(gamma[i][u] for i in range(m))
+        signal[u] = a * a
+        noise[u] = a / rho
+        for v in range(k):
+            coupling[u, v] = math.fsum(gamma[i][u] * beta[i, v] for i in range(m))
+    return signal, coupling, noise
 
 
 # --- estimation coefficients ------------------------------------------------
 
 def test_c_unit_example():
     # tau rho_p beta = 1 with orthogonal pilots: c = 1*1/(1+1) = 0.5
-    p = PilotSet.orthogonal(1)
-    c = c_coefficients(np.array([[1.0]]), p, 1.0)
+    c = c_coefficients(np.array([[1.0]]), 1, 1.0)
     assert c[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_gamma_unit_example():
-    p = PilotSet.orthogonal(1)
-    g = gamma_coefficients(np.array([[1.0]]), p, 1.0)
+    g = gamma_coefficients(np.array([[1.0]]), 1, 1.0)
     assert g[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_gamma_high_snr_approaches_beta():
-    p = PilotSet.orthogonal(1)
-    g = gamma_coefficients(np.array([[1.0]]), p, 1e6)
+    g = gamma_coefficients(np.array([[1.0]]), 1, 1e6)
     assert g[0, 0] == pytest.approx(1e6 / (1e6 + 1), rel=1e-12)
 
 
 def test_gamma_vanishes_with_beta():
-    p = PilotSet.orthogonal(1)
-    g = gamma_coefficients(np.array([[1e-30]]), p, 1.0)
+    g = gamma_coefficients(np.array([[1e-30]]), 1, 1.0)
     assert g[0, 0] == pytest.approx(0.0, abs=1e-40)
-
-
-def test_pilot_sharing_reduces_quality():
-    beta = np.array([[1.0, 0.8]])
-    clean = gamma_coefficients(beta, PilotSet.orthogonal(2), 1.0)
-    shared = gamma_coefficients(beta, PilotSet(np.ones((2, 2)), 2), 1.0)
-    assert np.all(shared < clean)
 
 
 def test_gamma_below_beta_everywhere():
@@ -178,7 +158,7 @@ def test_orthogonal_pilots_no_contamination_term():
     net = generate_realization(CFG, rng)
     ctx = rate_context(net.beta, CFG)
     co = sinr_coefficients(ctx)
-    # with identity gram the off-diagonal coupling reduces to the
+    # with orthogonal pilots the off-diagonal coupling is the
     # beamforming-uncertainty sum alone
     expected = ctx.gamma.T @ ctx.beta
     off = ~np.eye(5, dtype=bool)
@@ -196,6 +176,27 @@ def test_coefficients_match_user_rate():
         assert np.allclose(sinr, direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(),
+    SystemConfig(n_aps=50, n_users=10),
+    SystemConfig(pilot_length=12),  # pilots longer than the user count
+    SystemConfig(n_aps=8, n_users=3, pilot_length=20),
+], ids=["30x5", "50x10", "30x5-tau12", "8x3-tau20"])
+def test_coefficients_match_closed_form(cfg):
+    beta = generate_static_dataset(cfg, 6, seed=21).beta
+    # the closed form also holds off the scenario's gain range
+    rng = np.random.default_rng(21)
+    beta = np.concatenate([beta, 10.0 ** rng.uniform(-3.0, 1.0, beta.shape)])
+    batched = batch_sinr_coefficients(beta, cfg)
+    for i in range(len(beta)):
+        want = closed_form_coefficients(beta[i], cfg.tau, cfg.rho_p, cfg.rho)
+        for got in (sinr_coefficients(rate_context(beta[i], cfg)),
+                    batched.sample(i)):
+            for name, ref in zip(("signal", "coupling", "noise"), want):
+                np.testing.assert_allclose(getattr(got, name), ref,
+                                           rtol=1e-12, atol=0, err_msg=name)
+
+
 @pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
 def test_single_and_batched_coefficients_bit_identical(n_aps, n_users):
     # one kernel: a snapshot's coefficients do not depend on the route
@@ -208,14 +209,6 @@ def test_single_and_batched_coefficients_bit_identical(n_aps, n_users):
         assert np.array_equal(single.signal, stacked.signal)
         assert np.array_equal(single.coupling, stacked.coupling)
         assert np.array_equal(single.noise, stacked.noise)
-
-
-def test_contamination_appears_with_shared_pilots():
-    beta = np.array([[1.0, 0.9], [0.4, 0.7]])
-    shared = unit_context(beta, gram_sq=np.ones((2, 2)))
-    clean = unit_context(beta)
-    q = np.array([1.0, 1.0])
-    assert min_rate(shared, q) < min_rate(clean, q)
 
 
 # --- net throughput ---------------------------------------------------------

@@ -1,0 +1,16 @@
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    rate_star, min_rate = map(float, capsys.readouterr().out.split())
+    # the solver's certified rate is what its own allocation achieves
+    assert rate_star > 0.0
+    assert min_rate == pytest.approx(rate_star, rel=1e-9)

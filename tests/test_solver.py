@@ -10,10 +10,9 @@ from cfmimo.datasets import generate_static_dataset
 from cfmimo.errors import ValidationError
 from cfmimo.geometry import generate_realization
 from cfmimo.rates import (
-    PilotSet,
     RateContext,
     SinrCoefficients,
-    c_coefficients,
+    gamma_coefficients,
     rate_context,
     sinr_coefficients,
     sinr_from_coefficients,
@@ -49,11 +48,8 @@ def random_context(rng, n_aps, n_users):
 
 def fixed_context(beta):
     beta = np.asarray(beta, dtype=float)
-    n_users = beta.shape[1]
-    pilots = PilotSet.orthogonal(n_users)
-    c = c_coefficients(beta, pilots, 1.0)
-    gamma = math.sqrt(n_users) * beta * c
-    return RateContext(beta=beta, gamma=gamma, c=c, rho=1.0, pilots=pilots)
+    gamma = gamma_coefficients(beta, beta.shape[1], 1.0)
+    return RateContext(beta=beta, gamma=gamma, rho=1.0)
 
 
 # --- feasibility ------------------------------------------------------------
