@@ -4,7 +4,8 @@ The network maps a normalized snapshot of the M*K large-scale gains to K
 per-user power coefficients in [0, 1].  All weights and biases live in a
 single contiguous float64 array; the per-layer matrices are views into it,
 so optimizer updates on the flat array are immediately visible to the
-forward pass and checkpointing is a single array dump.
+forward pass and checkpointing is a single array dump.  Hidden layers use
+ELU with alpha = 1, so its derivative follows from its output alone.
 """
 
 from __future__ import annotations
@@ -16,28 +17,23 @@ import numpy as np
 
 from .errors import ValidationError
 
-ELU_ALPHA = 1.0
-
 INPUT_TRANSFORMS = ("linear", "log")
 
 
 def elu(z):
-    return np.where(z > 0.0, z, ELU_ALPHA * np.expm1(np.minimum(z, 0.0)))
+    # expm1(min(z, 0)) is 0 < z above zero and >= z below: the two branches
+    return np.maximum(z, np.expm1(np.minimum(z, 0.0)))
 
 
-def elu_grad(z, out):
-    """Derivative of elu using the cached activation output."""
-    return np.where(z > 0.0, 1.0, out + ELU_ALPHA)
+def elu_grad(out):
+    """Derivative of elu from its output alone: 1 above 0, out + 1 below."""
+    return np.minimum(out, 0.0) + 1.0
 
 
 def sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument only, so it never overflows
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, t) / (1.0 + t)
 
 
 def layer_sizes(n_aps: int, n_users: int) -> list[int]:
@@ -89,27 +85,21 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Power coefficients for one input (in,) or a batch (B, in)."""
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = sigmoid(z) if i == last else elu(z)
-        return a[0] if single else a
+        if x.ndim == 1:
+            return self.forward_cached(x[None, :])[0][0]
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Batch forward that keeps pre- and post-activations for backward."""
-        zs, acts = [], [x]
-        a = x
+        """Batch forward that keeps every layer's output for backward."""
+        acts = [x]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = sigmoid(z) if i == last else elu(z)
-            zs.append(z)
-            acts.append(a)
-        return a, zs, acts
+            z = acts[-1] @ w.T
+            z += b
+            acts.append(sigmoid(z) if i == last else elu(z))
+        return acts[-1], acts
 
-    def backward(self, zs, acts, grad_out, out=None) -> np.ndarray:
+    def backward(self, acts, grad_out, out=None) -> np.ndarray:
         """Gradient of sum_b loss_b wrt the flat parameters.
 
         grad_out is d(loss)/d(output) for the batch, shape (B, out).  The
@@ -124,7 +114,7 @@ class Mlp:
             np.matmul(delta.T, acts[i], out=gws[i])
             np.sum(delta, axis=0, out=gbs[i])
             if i > 0:
-                delta = (delta @ self.weights[i]) * elu_grad(zs[i - 1], acts[i])
+                delta = (delta @ self.weights[i]) * elu_grad(acts[i])
         return grad
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,18 +284,8 @@ def audit_report(dir_path, dataset: Dataset, cfg: SystemConfig) -> list[str]:
         problems.append(
             f"stored rates deviate from recomputation, max rel error {worst:.3e}"
         )
-    fresh = RunReport(
-        method=report.method,
-        n_aps=report.n_aps,
-        n_users=report.n_users,
-        dataset_seed=report.dataset_seed,
-        sample_offset=report.sample_offset,
-        dataset_digest=report.dataset_digest,
-        net_factor=float(net_throughput(1.0, cfg)),
-        q=report.q,
-        rates=fresh_rates,
-        wall_s=report.wall_s,
-    )
+    fresh = replace(report, net_factor=float(net_throughput(1.0, cfg)),
+                    rates=fresh_rates)
     for name, text in _render(fresh).items():
         on_disk = (dir_path / name)
         if not on_disk.exists():

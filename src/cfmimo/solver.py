@@ -62,7 +62,7 @@ class FeasibilityResult:
 class MaxMinSolution:
     q_star: np.ndarray
     t_star: float
-    rate_star: float              # bits/s/Hz, log2(1 + t_star)
+    rate_star: float              # bits/s/Hz, the worst rate q_star achieves
     bisection_iterations: int
     trace: list = field(default_factory=list)  # (t, feasible?) per bisection probe
 
@@ -160,16 +160,14 @@ def feasibility_fixed_point(
     return FeasibilityResult(UNDECIDED, None, max_iter)
 
 
-def solve_maxmin_bisection(
-    ctx_or_coeffs,
-    *,
-    rel_tol: float = BISECTION_REL_TOL,
-) -> MaxMinSolution:
+def solve_maxmin_bisection(ctx_or_coeffs) -> MaxMinSolution:
     """Maximize the minimum per-user SINR over power coefficients in [0, 1].
 
     Accepts a RateContext or a precomputed SinrCoefficients.  The upper
     bracket max_k signal_k/noise_k ignores interference and is therefore
     strictly infeasible; the lower bracket 0 is trivially feasible.
+    A probe is accepted within the feasibility slack, so rate_star is the
+    worst rate q_star achieves, which can sit just below log2(1 + t_star).
     """
     if isinstance(ctx_or_coeffs, RateContext):
         coeffs = sinr_coefficients(ctx_or_coeffs)
@@ -179,7 +177,7 @@ def solve_maxmin_bisection(
     t_hi = float(np.max(coeffs.signal / coeffs.noise))
     trace = []
     iterations = 0
-    while (t_hi - t_lo) / t_hi >= rel_tol:
+    while (t_hi - t_lo) / t_hi >= BISECTION_REL_TOL:
         t_mid = 0.5 * (t_lo + t_hi)
         res = feasibility_fixed_point(t_mid, coeffs)
         if res.status == UNDECIDED:
@@ -194,10 +192,11 @@ def solve_maxmin_bisection(
         else:
             t_hi = t_mid
         iterations += 1
+    rates = np.log1p(sinr_from_coefficients(coeffs, q_lo)) / LN2
     return MaxMinSolution(
         q_star=q_lo,
         t_star=t_lo,
-        rate_star=float(np.log1p(t_lo) / LN2),
+        rate_star=float(rates.min()),
         bisection_iterations=iterations,
         trace=trace,
     )

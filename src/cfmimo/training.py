@@ -36,7 +36,7 @@ def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients,
     """
     if cache is None:
         cache = model.forward_cached(x)
-    q, zs, acts = cache
+    q, acts = cache
     denom = np.einsum("nki,ni->nk", coeffs.coupling, q) + coeffs.noise
     sinr = q * coeffs.signal / denom
     rates = np.log1p(sinr) / LN2
@@ -57,7 +57,7 @@ def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients,
     grad_q = -factor[:, None] * (onehot - (q_w / d_w)[:, None] * coup_w)
 
     loss = -float(rates[rows, worst].mean())
-    return loss, model.backward(zs, acts, grad_q, out=out)
+    return loss, model.backward(acts, grad_q, out=out)
 
 
 @dataclass
@@ -69,7 +69,6 @@ class TrainingRun:
     history: list = field(default_factory=list)  # (iteration, train, val)
     best_iteration: int = 0
     best_val_loss: float = np.inf
-    final_params: np.ndarray | None = None
 
 
 def train_model(
@@ -85,8 +84,7 @@ def train_model(
     Two independent random streams are spawned from the seed, one for the
     weight init and one for the batch draws, so changing the iteration count
     never perturbs the initial weights.  Batches are drawn with replacement.
-    The returned model carries the parameters of the best validation loss,
-    the final parameters stay available in ``final_params``.
+    The returned model carries the parameters of the best validation loss.
     """
     if train_beta.ndim != 3 or val_beta.ndim != 3:
         raise ValidationError("training needs (N, M, K) snapshot stacks")
@@ -129,7 +127,6 @@ def train_model(
         if it % tcfg.validation_every == 0 or it == tcfg.iterations:
             validate(it, loss)
 
-    run.final_params = model.params.copy()
     model.params[...] = best_params
     return run
 
@@ -200,18 +197,16 @@ def online_finetune(
     best_q = model.forward(x)
     best_rate = batch_rates(coeffs, best_q[None, :]).min()
     h = (x[None, :] @ model.weights[0].T)[0]
-    z1 = h + bias1
-    a1 = elu(z1)[None, :]
+    a1 = elu(h + bias1)[None, :]
     cache = upper.forward_cached(a1)
     for _ in range(steps):
         batch_loss_and_grad(upper, a1, coeffs, cache=cache, out=grad[n1:])
         np.matmul(grad_b2, upper.weights[0], out=grad_b1)
-        grad_b1 *= elu_grad(z1, a1[0])
+        grad_b1 *= elu_grad(a1[0])
         adam_step(tail, grad, opt, lr, beta1, beta2, eps)
         h += _first_layer_shift(x, opt.m[:n1], opt.v[:n1], opt.step,
                                 lr, beta1, beta2, eps, rows)
-        z1 = h + bias1
-        a1 = elu(z1)[None, :]
+        a1 = elu(h + bias1)[None, :]
         cache = upper.forward_cached(a1)
         rate = batch_rates(coeffs, cache[0]).min()
         if rate > best_rate:

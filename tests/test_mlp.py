@@ -15,6 +15,7 @@ from cfmimo.mlp import (
     adam_step,
     build_model,
     elu,
+    elu_grad,
     fit_normalizer,
     layer_sizes,
     parameter_count,
@@ -68,6 +69,58 @@ def test_activation_monotonicity(a, b):
     assert sigmoid(np.array([lo]))[0] <= sigmoid(np.array([hi]))[0]
 
 
+# The two-branch forms the closed forms replace, kept as references.
+def elu_reference(z):
+    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+
+
+def elu_grad_reference(z, out):
+    return np.where(z > 0.0, 1.0, out + 1.0)
+
+
+def sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def assert_bitwise_like_references(z):
+    # NaN in gives NaN out either way, but its sign and payload may differ
+    nan = np.isnan(z)
+    got = elu(z), sigmoid(z), elu_grad(elu(z))
+    want = (elu_reference(z), sigmoid_reference(z),
+            elu_grad_reference(z, elu_reference(z)))
+    for g, w in zip(got, want):
+        assert np.array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
+        assert np.all(np.isnan(g[nan]))
+
+
+def test_activations_bitwise_equal_references_at_edges():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([0.0, tiny, 1e3 * tiny, np.finfo(float).tiny / 2,
+                      np.finfo(float).tiny, 1e-300, 1e-17, 0.5, 1.0, 36.7, 37.0,
+                      709.0, 709.8, 745.0, 745.2, 1e4, np.finfo(float).max,
+                      np.inf, np.nan])
+    z = np.concatenate([edges, -edges])
+    assert np.signbit(z[len(edges)])  # -0.0 is among them
+    bits = np.random.default_rng(0).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=200_000,
+        dtype=np.int64)
+    with np.errstate(all="ignore"):
+        assert_bitwise_like_references(z)
+        assert_bitwise_like_references(bits.view(np.float64))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+def test_activations_bitwise_equal_references(values):
+    with np.errstate(all="ignore"):
+        assert_bitwise_like_references(np.array(values, dtype=float))
+
+
 # --- architecture -----------------------------------------------------------
 
 def test_layer_sizes_shape():
@@ -117,6 +170,21 @@ def test_output_range_and_shapes():
     q1 = model.forward(xb[0])
     assert q1.shape == (2,)
     assert np.allclose(q1, qb[0])
+
+
+@pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
+def test_forward_is_forward_cached_bit_for_bit(n_aps, n_users):
+    model = build_model(n_aps, n_users, np.random.default_rng(15))
+    model.params += np.random.default_rng(16).normal(0.0, 0.05, model.params.size)
+    xb = np.random.default_rng(17).normal(size=(6, n_aps * n_users))
+    q, acts = model.forward_cached(xb)
+    assert len(acts) == model.n_layers + 1 and acts[-1] is q
+    assert np.array_equal(model.forward(xb), q)
+    for x in xb:
+        single = model.forward(x)
+        assert single.shape == (n_users,)
+        assert np.array_equal(single.view(np.int64),
+                              model.forward_cached(x[None])[0][0].view(np.int64))
 
 
 def test_param_vector_length_checked():
@@ -302,7 +370,6 @@ def test_training_keeps_best_validation_params(tiny_run):
     assert batch_loss(run.model, x_val, co_val) == pytest.approx(
         run.best_val_loss, rel=1e-12
     )
-    assert run.final_params is not None
 
 
 def test_training_deterministic(tiny_run):
