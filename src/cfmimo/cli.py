@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from .config import FINETUNE_LR, FINETUNE_STEPS
+from .errors import FormatError, SolverError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,33 +52,24 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", type=Path, required=True, metavar="DIR",
                     help="directory produced by gen-data")
 
-    for name, fixed in (("eval", None), ("solve-baseline", "baseline"),
-                        ("finetune", "dnn-online")):
-        ev = sub.add_parser(
-            name,
-            help={"eval": "run one method over a split, report to --out",
-                  "solve-baseline": "shorthand for eval --method baseline",
-                  "finetune": "shorthand for eval --method dnn-online",
-                  }[name],
-        )
+    for name, fixed, text in (
+            ("eval", None, "run one method over a split, report to --out"),
+            ("solve-baseline", "baseline", "shorthand for eval --method baseline"),
+            ("finetune", "dnn-online", "shorthand for eval --method dnn-online"),
+            ("bench", None, "single-snapshot timing table, JSON to --out")):
+        ev = sub.add_parser(name, help=text)
         ev.add_argument("--data", type=Path, required=True, metavar="DIR")
         ev.add_argument("--split", choices=SPLITS, default="test")
-        if fixed is None:
+        if name == "eval":
             ev.add_argument("--method", required=True,
                             choices=("baseline", "max-power", "dnn", "dnn-online"))
         ev.add_argument("--checkpoint", type=Path, metavar="CFCK")
+        if name == "bench":
+            ev.add_argument("--samples", type=int, default=100)
+            ev.add_argument("--warmup", type=int, default=3)
         ev.add_argument("--finetune-steps", type=int, default=FINETUNE_STEPS)
         ev.add_argument("--finetune-lr", type=float, default=FINETUNE_LR)
         ev.set_defaults(fixed_method=fixed)
-
-    be = sub.add_parser("bench", help="single-snapshot timing table, JSON to --out")
-    be.add_argument("--data", type=Path, required=True, metavar="DIR")
-    be.add_argument("--split", choices=SPLITS, default="test")
-    be.add_argument("--checkpoint", type=Path, metavar="CFCK")
-    be.add_argument("--samples", type=int, default=100)
-    be.add_argument("--warmup", type=int, default=3)
-    be.add_argument("--finetune-steps", type=int, default=FINETUNE_STEPS)
-    be.add_argument("--finetune-lr", type=float, default=FINETUNE_LR)
 
     rp = sub.add_parser("report", help="print the summary of a report directory")
     rp.add_argument("report_dir", type=Path)
@@ -102,21 +94,18 @@ def _load_configs(args):
     if args.config is None:
         return SystemConfig(), TrainConfig(), DataConfig()
     if not args.config.exists():
-        from .errors import ValidationError
         raise ValidationError(f"config file {args.config} does not exist")
     return load_config(args.config)
 
 
 def _require_out(args, what):
     if args.out is None:
-        from .errors import ValidationError
         raise ValidationError(f"--out is required: {what}")
     return args.out
 
 
 def _load_split(data_dir: Path, split: str):
     from .datasets import load_dataset
-    from .errors import ValidationError
 
     path = data_dir / f"{split}.cfmm"
     if not path.exists():
@@ -176,12 +165,17 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_checked(args, system, tcfg):
+    """The --checkpoint, checked against the config and --seed; None
+    without one."""
+    import dataclasses
+
     from .checkpoints import load_checkpoint
     from .config import config_digest
-    from .errors import ValidationError
 
     if args.checkpoint is None:
-        raise ValidationError("this method needs --checkpoint")
+        return None
+    if args.seed is not None:
+        tcfg = dataclasses.replace(tcfg, seed=args.seed)
     ck = load_checkpoint(args.checkpoint)
     if ck.digest != config_digest(system, tcfg):
         raise ValidationError(
@@ -192,22 +186,17 @@ def _load_checkpoint_checked(args, system, tcfg):
 
 
 def _cmd_eval(args) -> int:
-    import dataclasses
-
     from .reports import evaluate, save_report
 
     system, tcfg, _ = _load_configs(args)
     out = _require_out(args, "report directory")
     method = args.fixed_method or args.method
-    if args.seed is not None:
-        tcfg = dataclasses.replace(tcfg, seed=args.seed)
     ds = _load_split(args.data, args.split)
     if method == "baseline" and args.split == "train":
         print(f"warning: solving the baseline for all {len(ds)} training "
               "samples; this can take a long time", file=sys.stderr)
-    ck = None
-    if method in ("dnn", "dnn-online"):
-        ck = _load_checkpoint_checked(args, system, tcfg)
+    ck = (_load_checkpoint_checked(args, system, tcfg)
+          if method in ("dnn", "dnn-online") else None)
     started = time.perf_counter()
     report = evaluate(method, ds, system, checkpoint=ck,
                       finetune_steps=args.finetune_steps,
@@ -228,35 +217,31 @@ def _cmd_bench(args) -> int:
 
     import numpy as np
 
-    from .bench import BENCH_METHODS, bench_methods, speedup_table
+    from .reports import BENCH_METHODS, bench_methods
 
     system, tcfg, _ = _load_configs(args)
     ds = _load_split(args.data, args.split)
-    ck = None
-    methods = BENCH_METHODS
-    if args.checkpoint is not None:
-        ck = _load_checkpoint_checked(args, system, tcfg)
-    else:
-        methods = ("baseline",)
+    ck = _load_checkpoint_checked(args, system, tcfg)
+    methods = BENCH_METHODS if ck is not None else ("baseline",)
     times = bench_methods(ds, system, checkpoint=ck, methods=methods,
                           n_samples=args.samples, warmup=args.warmup,
                           finetune_steps=args.finetune_steps,
                           finetune_lr=args.finetune_lr)
-    speedup = speedup_table(times)
+    mean = {m: float(t.mean()) for m, t in times.items()}
+    speedup = {m: mean["baseline"] / v for m, v in mean.items()}
     payload = {
         "n_samples": len(times["baseline"]),
         "n_aps": system.n_aps,
         "n_users": system.n_users,
-        "mean_s": {m: float(t.mean()) for m, t in times.items()},
+        "mean_s": mean,
         "median_s": {m: float(np.median(t)) for m, t in times.items()},
         "speedup_vs_baseline": speedup,
     }
     for m in methods:
-        print(f"{m:>12}: {payload['mean_s'][m] * 1e3:8.3f} ms/snapshot "
+        print(f"{m:>12}: {mean[m] * 1e3:8.3f} ms/snapshot "
               f"({speedup[m]:5.1f}x vs baseline)")
     if args.out is not None:
         if args.out.exists() and not args.force:
-            from .errors import ValidationError
             raise ValidationError(f"{args.out} exists, pass --force")
         args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"timing table written to {args.out}")
@@ -307,8 +292,6 @@ def main(argv=None) -> int:
             print("error: --threads must be positive", file=sys.stderr)
             return EXIT_VALIDATION
         _apply_threads(args.threads)
-
-    from .errors import FormatError, SolverError, ValidationError
 
     try:
         return _COMMANDS[args.command](args)

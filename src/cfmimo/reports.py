@@ -1,4 +1,8 @@
-"""Evaluation runs and their on-disk report directories.
+"""Evaluation runs, per-snapshot timing and on-disk report directories.
+
+``decide`` turns one snapshot's gains into power coefficients for each
+method that works a snapshot at a time; ``evaluate`` and ``bench_methods``
+time it in the same loop.
 
 A report directory holds four text files, all written with shortest
 round-trip float formatting so that save/load/save reproduces every byte:
@@ -31,6 +35,8 @@ from .solver import solve_maxmin_bisection
 from .training import FINETUNE_LR, FINETUNE_STEPS, online_finetune
 
 METHODS = ("baseline", "max-power", "dnn", "dnn-online")
+# the methods that decide one snapshot at a time, see ``decide``
+BENCH_METHODS = ("baseline", "dnn", "dnn-online")
 
 SUMMARY_NAME = "summary.json"
 PER_SAMPLE_NAME = "per_sample.csv"
@@ -88,6 +94,53 @@ class RunReport:
         }
 
 
+def decide(method, beta, cfg, checkpoint, steps, lr) -> np.ndarray:
+    """Gains (M, K) of one snapshot to q (K,), for a method in BENCH_METHODS.
+
+    Each runs what a deployment runs when fresh gains arrive: SINR
+    coefficients and bisection; input transform and forward pass; or
+    coefficients, transform and ``steps`` fine-tuning steps.
+    """
+    if method == "dnn":
+        return checkpoint.model.forward(checkpoint.normalizer.transform(beta))
+    coeffs = batch_sinr_coefficients(beta[None], cfg)
+    if method == "baseline":
+        return solve_maxmin_bisection(coeffs.sample(0)).q_star
+    return online_finetune(checkpoint.model, checkpoint.normalizer.transform(beta),
+                           coeffs, steps=steps, lr=lr)
+
+
+def _timed_decisions(methods, beta, cfg, checkpoint, steps, lr):
+    """Per snapshot, per method in turn: ``decide`` and its seconds, as
+    dicts method -> (N, K) q and method -> (N,) seconds.  Interleaving the
+    methods keeps drift in machine speed out of their ratios."""
+    n, k = beta.shape[0], beta.shape[2]
+    q = {method: np.empty((n, k)) for method in methods}
+    wall = {method: np.empty(n) for method in methods}
+    for i in range(n):
+        for method in methods:
+            start = time.perf_counter()
+            q_i = decide(method, beta[i], cfg, checkpoint, steps, lr)
+            wall[method][i] = time.perf_counter() - start
+            q[method][i] = q_i
+    return q, wall
+
+
+def _check_inputs(methods, known, dataset, cfg, checkpoint):
+    for method in methods:
+        if method not in known:
+            raise ValidationError(f"unknown method {method!r}, pick from {known}")
+    if dataset.digest != scenario_digest(cfg):
+        raise ValidationError("dataset was generated under a different scenario")
+    if len(dataset) == 0:
+        raise ValidationError("the dataset holds no snapshots")
+    if {"dnn", "dnn-online"} & set(methods):
+        if checkpoint is None:
+            raise ValidationError("the network methods need a checkpoint")
+        if (checkpoint.n_aps, checkpoint.n_users) != (cfg.n_aps, cfg.n_users):
+            raise ValidationError("checkpoint dims do not match the scenario")
+
+
 def evaluate(
     method: str,
     dataset: Dataset,
@@ -99,42 +152,26 @@ def evaluate(
 ) -> RunReport:
     """Run one allocation method over a dataset and collect the rates.
 
-    ``wall_s`` holds the seconds spent producing each sample's q; the
-    vectorized methods spread their batch time evenly over the samples.
+    ``wall_s`` holds the seconds spent producing each sample's q.  For
+    ``baseline`` and ``dnn-online`` it is the time of ``decide`` on that
+    snapshot, with no warm-up: the cost a deployment pays per snapshot and
+    the quantity ``bench_methods`` reports.  ``max-power`` and ``dnn`` run as
+    one vectorized batch whose time is spread evenly over the samples.
     """
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}, pick from {METHODS}")
-    if dataset.digest != scenario_digest(cfg):
-        raise ValidationError("dataset was generated under a different scenario")
-    if method in ("dnn", "dnn-online"):
-        if checkpoint is None:
-            raise ValidationError(f"method {method!r} needs a checkpoint")
-        if (checkpoint.n_aps, checkpoint.n_users) != (cfg.n_aps, cfg.n_users):
-            raise ValidationError("checkpoint dims do not match the scenario")
-
+    _check_inputs((method,), METHODS, dataset, cfg, checkpoint)
     beta = dataset.beta
     n, k = beta.shape[0], beta.shape[2]
-    coeffs = batch_sinr_coefficients(beta, cfg)
-    started = time.perf_counter()
     if method in ("max-power", "dnn"):
+        started = time.perf_counter()
         q = (np.ones((n, k)) if method == "max-power"
              else checkpoint.model.forward(checkpoint.normalizer.transform(beta)))
         wall = np.full(n, (time.perf_counter() - started) / n)
     else:
-        if method == "dnn-online":
-            x = checkpoint.normalizer.transform(beta)
-        q = np.empty((n, k))
-        wall = np.empty(n)
-        for i in range(n):
-            tick = time.perf_counter()
-            if method == "baseline":
-                q[i] = solve_maxmin_bisection(coeffs.sample(i)).q_star
-            else:
-                q[i] = online_finetune(checkpoint.model, x[i], coeffs.take([i]),
-                                       steps=finetune_steps, lr=finetune_lr)
-            wall[i] = time.perf_counter() - tick
+        q, wall = _timed_decisions((method,), beta, cfg, checkpoint,
+                                   finetune_steps, finetune_lr)
+        q, wall = q[method], wall[method]
 
-    rates = batch_rates(coeffs, q)
+    rates = batch_rates(batch_sinr_coefficients(beta, cfg), q)
     return RunReport(
         method=method,
         n_aps=cfg.n_aps,
@@ -147,6 +184,35 @@ def evaluate(
         rates=rates,
         wall_s=wall,
     )
+
+
+def bench_methods(
+    dataset: Dataset,
+    cfg: SystemConfig,
+    *,
+    checkpoint: Checkpoint | None = None,
+    methods=BENCH_METHODS,
+    n_samples: int | None = None,
+    warmup: int = 3,
+    finetune_steps: int = FINETUNE_STEPS,
+    finetune_lr: float = FINETUNE_LR,
+) -> dict:
+    """Time every method per snapshot; returns method -> seconds array.
+
+    Each method first runs ``warmup`` decisions on the first snapshot; then
+    the first ``n_samples`` snapshots are timed as ``evaluate`` times them.
+    """
+    _check_inputs(methods, BENCH_METHODS, dataset, cfg, checkpoint)
+    if n_samples is not None and n_samples < 1:
+        raise ValidationError(f"need at least 1 snapshot, not {n_samples}")
+    if warmup < 0:
+        raise ValidationError(f"warm-up count must be >= 0, not {warmup}")
+    beta = dataset.beta if n_samples is None else dataset.beta[:n_samples]
+    for method in methods:
+        for _ in range(warmup):
+            decide(method, beta[0], cfg, checkpoint, finetune_steps, finetune_lr)
+    return _timed_decisions(methods, beta, cfg, checkpoint,
+                            finetune_steps, finetune_lr)[1]
 
 
 # --- serialization ----------------------------------------------------------

@@ -200,24 +200,3 @@ def solve_maxmin_bisection(ctx_or_coeffs) -> MaxMinSolution:
         bisection_iterations=iterations,
         trace=trace,
     )
-
-
-def brute_force_maxmin(ctx: RateContext, grid_resolution: int = 200):
-    """Exhaustive max-min search over a uniform power grid; small K only.
-
-    Returns (q, min_rate) for the best grid point.  Grid values include both
-    endpoints, so full power is always a candidate.
-    """
-    k = ctx.n_users
-    if k > 3:
-        raise ValidationError("grid search is limited to K <= 3")
-    if grid_resolution < 2:
-        raise ValidationError("need at least 2 grid points per axis")
-    coeffs = sinr_coefficients(ctx)
-    axis = np.linspace(0.0, 1.0, grid_resolution)
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)  # (G, K)
-    sinr = grid * coeffs.signal / (grid @ coeffs.coupling.T + coeffs.noise)
-    worst = np.log1p(sinr).min(axis=1) / LN2
-    best = int(worst.argmax())
-    return grid[best].copy(), float(worst[best])

@@ -182,8 +182,9 @@ def online_finetune(
         raise ValidationError(f"fine-tuning step size must be finite and > 0, got {lr}")
     if model.n_layers < 2:
         raise ValidationError("fine-tuning needs a network of two layers at least")
-    tcfg = TrainConfig()
-    beta1, beta2, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps
+    # the defaults of the training config, read off the class
+    beta1, beta2, eps = (TrainConfig.adam_beta1, TrainConfig.adam_beta2,
+                         TrainConfig.adam_eps)
     n0, n1, n2 = model.sizes[:3]
     tail = model.params[n0 * n1:].copy()  # b1, then every later layer
     bias1 = tail[:n1]

@@ -39,11 +39,12 @@ from cfmimo.reports import evaluate
 from cfmimo.solver import (
     FEASIBLE,
     INFEASIBLE,
-    brute_force_maxmin,
     feasibility_fixed_point,
     solve_maxmin_bisection,
 )
 from cfmimo.training import batch_loss, batch_loss_and_grad, train_model
+
+from grid_search import brute_force_maxmin
 
 SEED = 0
 CFG30 = SystemConfig()

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from cfmimo.bench import bench_methods, speedup_table
 from cfmimo.checkpoints import Checkpoint, load_checkpoint
 from cfmimo.cli import main
 from cfmimo.config import DataConfig, SystemConfig, TrainConfig
 from cfmimo.datasets import _HEADER, generate_splits
 from cfmimo.errors import ValidationError
+from cfmimo.reports import bench_methods
 from cfmimo.training import train_model
 
 SMALL = SystemConfig(n_aps=3, n_users=2)
@@ -227,6 +227,28 @@ def test_bench_bad_counts_are_validation_errors(workspace, tmp_path, flags):
     assert not out.exists()
 
 
+def test_bench_checks_the_checkpoint_under_seed_like_eval(workspace, tmp_path):
+    _, cfg_path, data_dir, _ = workspace
+    model = tmp_path / "seed7.cfck"
+    base = ["--config", str(cfg_path), "--seed", "7"]
+    assert main(base + ["--out", str(model), "train", "--data", str(data_dir)]) == 0
+    assert main(base + ["--out", str(tmp_path / "rep"), "eval",
+                        "--data", str(data_dir), "--method", "dnn",
+                        "--checkpoint", str(model)]) == 0
+    assert main(base + ["bench", "--data", str(data_dir), "--checkpoint",
+                        str(model), "--samples", "1", "--warmup", "0"]) == 0
+
+
+def test_bench_rejects_dataset_of_another_scenario(workspace, tmp_path):
+    _, _, data_dir, _ = workspace
+    other = tmp_path / "other.json"
+    other.write_text('{"system": {"n_aps": 9, "n_users": 3}}')
+    out = tmp_path / "bench.json"
+    assert main(["--config", str(other), "--out", str(out), "bench",
+                 "--data", str(data_dir), "--samples", "2"]) == 2
+    assert not out.exists()
+
+
 # --- bench internals --------------------------------------------------------
 
 def test_bench_methods_direct():
@@ -240,8 +262,6 @@ def test_bench_methods_direct():
     for arr in times.values():
         assert arr.shape == (3,)
         assert np.all(arr > 0)
-    table = speedup_table(times)
-    assert table["baseline"] == pytest.approx(1.0)
 
 
 def test_bench_needs_checkpoint_for_network():
@@ -251,3 +271,5 @@ def test_bench_needs_checkpoint_for_network():
         bench_methods(splits["test"], SMALL, methods=("dnn",))
     with pytest.raises(ValidationError):
         bench_methods(splits["test"], SMALL, methods=("warp",))
+    with pytest.raises(ValidationError, match="no snapshots"):
+        bench_methods(splits["test"].slice(0, 0), SMALL, methods=("baseline",))

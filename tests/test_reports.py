@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from cfmimo.checkpoints import Checkpoint
-from cfmimo.config import DataConfig, SystemConfig, TrainConfig
+from cfmimo.config import (FINETUNE_LR, FINETUNE_STEPS, DataConfig, SystemConfig,
+                           TrainConfig)
 from cfmimo.datasets import generate_splits, generate_static_dataset
 from cfmimo.errors import FormatError, ValidationError
-from cfmimo.rates import rate_context
+from cfmimo.rates import batch_sinr_coefficients, rate_context
 from cfmimo.reports import (
     RunReport,
     audit_report,
+    decide,
     evaluate,
     load_report,
     save_report,
 )
 from cfmimo.solver import solve_maxmin_bisection
-from cfmimo.training import train_model
+from cfmimo.training import online_finetune, train_model
 
 SMALL = SystemConfig(n_aps=4, n_users=2)
 TCFG = TrainConfig(iterations=60, batch_size=10, validation_every=20, seed=3)
@@ -74,12 +76,16 @@ def test_evaluate_rejects_bad_method_or_missing_checkpoint(setup):
         evaluate("genie", splits["test"], SMALL)
     with pytest.raises(ValidationError, match="checkpoint"):
         evaluate("dnn", splits["test"], SMALL)
+    with pytest.raises(ValidationError, match="no snapshots"):
+        evaluate("dnn", splits["test"].slice(0, 0), SMALL, checkpoint=ck)
 
 
 def test_baseline_report_equals_single_snapshot_solve(setup):
-    # evaluate's batched coefficients and a per-snapshot rate context give
-    # the solver bit-identical input, so the two routes agree exactly
-    splits, _ = setup
+    # a per-snapshot rate context gives the solver bit-identical input, so
+    # the two routes agree exactly; every report row of the per-snapshot
+    # methods is the shared decision for that snapshot, and for dnn-online
+    # also what batch-computed inputs give
+    splits, ck = setup
     default = SystemConfig()
     for cfg, ds in ((SMALL, splits["test"]),
                     (default, generate_static_dataset(default, 8, seed=0))):
@@ -87,6 +93,17 @@ def test_baseline_report_equals_single_snapshot_solve(setup):
         for i in range(len(ds)):
             single = solve_maxmin_bisection(rate_context(ds.beta[i], cfg))
             assert np.array_equal(rep.q[i], single.q_star)
+            assert np.array_equal(rep.q[i], decide(
+                "baseline", ds.beta[i], cfg, None, FINETUNE_STEPS, FINETUNE_LR))
+    ds = splits["test"]
+    rep = evaluate("dnn-online", ds, SMALL, checkpoint=ck)
+    x = ck.normalizer.transform(ds.beta)
+    coeffs = batch_sinr_coefficients(ds.beta, SMALL)
+    for i in range(len(ds)):
+        assert np.array_equal(rep.q[i], decide(
+            "dnn-online", ds.beta[i], SMALL, ck, FINETUNE_STEPS, FINETUNE_LR))
+        assert np.array_equal(rep.q[i], online_finetune(ck.model, x[i],
+                                                        coeffs.take([i])))
 
 
 def test_summary_percentile_oracle():

@@ -24,11 +24,12 @@ from cfmimo.solver import (
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
-    brute_force_maxmin,
     direct_feasibility,
     feasibility_fixed_point,
     solve_maxmin_bisection,
 )
+
+from grid_search import brute_force_maxmin
 
 CFG = SystemConfig()
 
