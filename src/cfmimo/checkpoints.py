@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SystemConfig, TrainConfig, config_digest
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, refuse_overwrite
 from .mlp import INPUT_TRANSFORMS, Mlp, Normalizer, layer_sizes, parameter_count
 from .training import TrainingRun
 
@@ -71,8 +71,7 @@ class Checkpoint:
 
 def save_checkpoint(path, ck: Checkpoint, *, force: bool = False):
     path = Path(path)
-    if path.exists() and not force:
-        raise ValidationError(f"{path} exists, pass force to overwrite")
+    refuse_overwrite(path, force)
     sizes = ck.model.sizes
     if sizes != layer_sizes(ck.n_aps, ck.n_users):
         raise ValidationError("model layer sizes do not match the stated dims")

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .config import FINETUNE_LR, FINETUNE_STEPS
-from .errors import FormatError, SolverError, ValidationError
+from .errors import FormatError, SolverError, ValidationError, refuse_overwrite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,9 +98,13 @@ def _load_configs(args):
     return load_config(args.config)
 
 
-def _require_out(args, what):
+def _require_out(args, what, names=()):
+    """args.out, refused before any work if it exists (for a directory: if
+    one of the files ``names`` in it exists) and --force is not given."""
     if args.out is None:
         raise ValidationError(f"--out is required: {what}")
+    for path in [args.out / name for name in names] or [args.out]:
+        refuse_overwrite(path, args.force)
     return args.out
 
 
@@ -118,7 +122,8 @@ def _cmd_gen_data(args) -> int:
     from .datasets import generate_splits, save_dataset
 
     system, train, data = _load_configs(args)
-    out = _require_out(args, "directory for the dataset files")
+    out = _require_out(args, "directory for the dataset files",
+                       [f"{split}.cfmm" for split in SPLITS])
     seed = 0 if args.seed is None else args.seed
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -220,6 +225,8 @@ def _cmd_bench(args) -> int:
     from .reports import BENCH_METHODS, bench_methods
 
     system, tcfg, _ = _load_configs(args)
+    if args.out is not None:
+        refuse_overwrite(args.out, args.force)
     ds = _load_split(args.data, args.split)
     ck = _load_checkpoint_checked(args, system, tcfg)
     methods = BENCH_METHODS if ck is not None else ("baseline",)
@@ -241,8 +248,6 @@ def _cmd_bench(args) -> int:
         print(f"{m:>12}: {mean[m] * 1e3:8.3f} ms/snapshot "
               f"({speedup[m]:5.1f}x vs baseline)")
     if args.out is not None:
-        if args.out.exists() and not args.force:
-            raise ValidationError(f"{args.out} exists, pass --force")
         args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"timing table written to {args.out}")
     return EXIT_OK

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DataConfig, SystemConfig, scenario_digest
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, refuse_overwrite
 from .geometry import (
     generate_realization,
     grid_ap_positions,
@@ -143,8 +143,7 @@ def generate_splits(cfg: SystemConfig, data: DataConfig, seed: int) -> dict:
 
 def save_dataset(path, ds: Dataset, *, force: bool = False):
     path = Path(path)
-    if path.exists() and not force:
-        raise ValidationError(f"{path} exists, pass force to overwrite")
+    refuse_overwrite(path, force)
     if ds.scenario not in _SCENARIO_CODES:
         raise ValidationError(f"unknown scenario {ds.scenario!r}")
     if len(ds.digest) != 32:

@@ -11,3 +11,9 @@ class FormatError(Exception):
 
 class SolverError(RuntimeError):
     """Raised when the power-control solver cannot certify a result."""
+
+
+def refuse_overwrite(path, force: bool):
+    """Raise ValidationError when path exists and force is not set."""
+    if path.exists() and not force:
+        raise ValidationError(f"{path} exists, pass force to overwrite")

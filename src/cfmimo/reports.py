@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .config import SystemConfig, scenario_digest
 from .datasets import Dataset
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, refuse_overwrite
 from .rates import batch_rates, batch_sinr_coefficients, net_throughput
 from .solver import solve_maxmin_bisection
 from .training import FINETUNE_LR, FINETUNE_STEPS, online_finetune
@@ -265,11 +265,9 @@ def _render(report: RunReport) -> dict:
 
 def save_report(dir_path, report: RunReport, *, force: bool = False):
     dir_path = Path(dir_path)
-    if dir_path.exists():
-        if not force:
-            raise ValidationError(f"{dir_path} exists, pass force to overwrite")
-        if not dir_path.is_dir():
-            raise ValidationError(f"{dir_path} is not a directory")
+    refuse_overwrite(dir_path, force)
+    if dir_path.exists() and not dir_path.is_dir():
+        raise ValidationError(f"{dir_path} is not a directory")
     dir_path.mkdir(parents=True, exist_ok=True)
     for name, text in _render(report).items():
         (dir_path / name).write_text(text, encoding="ascii")

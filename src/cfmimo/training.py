@@ -4,7 +4,8 @@ The loss is the negative batch mean of the worst per-user rate, so gradient
 descent pushes the network toward max-min fair allocations without labeled
 targets.  The rate gradient is analytic; backpropagation only ever sees the
 subgradient through the single worst user of each sample (lowest index on
-ties).
+ties).  Online fine-tuning runs the same training step on one snapshot,
+with the first layer frozen and the layers above it adapted.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .config import FINETUNE_LR, FINETUNE_STEPS, SystemConfig, TrainConfig
 from .errors import ValidationError
-from .mlp import (AdamState, Mlp, Normalizer, adam_step, build_model, elu, elu_grad,
-                  fit_normalizer)
+from .mlp import AdamState, Mlp, Normalizer, adam_step, build_model, fit_normalizer
 from .rates import LN2, BatchedCoefficients, batch_rates, batch_sinr_coefficients
 
 
@@ -131,27 +131,6 @@ def train_model(
     return run
 
 
-def _first_layer_shift(x, mu, nu, step, lr, beta1, beta2, eps, rows):
-    """Change of h = W1 x under one Adam step on W1, never forming W1.
-
-    With a fixed input x, W1's gradient is always d1 x^T, so its Adam
-    moments are m = mu x^T and v = nu (x*x)^T, where mu and nu are the
-    moments of the gradients d1 (b1's moments).  The Adam step on W1 then
-    moves W1 x by, with c1 = 1 - beta1**step, c2 = 1 - beta2**step and
-    a = sqrt(nu / c2),
-
-        dh_i = -lr (mu_i / c1) sum_j x_j^2 / (a_i |x_j| + eps)
-
-    rows is a (len(mu), len(x)) work array.
-    """
-    c1 = 1.0 - beta1 ** step
-    c2 = 1.0 - beta2 ** step
-    np.einsum("i,j->ij", np.sqrt(nu / c2), np.abs(x), out=rows)
-    rows += eps
-    np.reciprocal(rows, out=rows)
-    return -lr * (mu / c1) * (rows @ (x * x))
-
-
 def online_finetune(
     model: Mlp,
     x: np.ndarray,
@@ -162,19 +141,16 @@ def online_finetune(
 ) -> np.ndarray:
     """Adapt the trained net to one snapshot with Adam, return the best q.
 
-    x is the normalized input of that single snapshot and coeffs its
-    coefficient stack of length one.  The candidate set covers the untouched
+    x is the normalized input of that single snapshot, shaped (sizes[0],),
+    and coeffs its coefficient stack of length one.  The first layer is
+    frozen: its output a1 = elu(W1 x + b1) is computed once, and the
+    training step (``batch_loss_and_grad``, then ``adam_step``) adapts a copy
+    of the layers above it, fed a1.  The candidate set covers the untouched
     network (``model.forward(x)``) and the state after every update step;
     the q with the largest worst-user rate wins (the earliest on ties).  The
-    caller's model is never mutated.
-
-    The first layer's weights W1 stay implicit: the network sees them only
-    through h = W1 x, and x is the same at every step.  Adam trains the flat
-    tail of the parameters (b1 and every later layer), and after each step
-    h moves by ``_first_layer_shift``, exactly what the same Adam step on W1
-    would do to W1 x.  The result equals full-parameter Adam up to rounding.
-    Each step's forward pass yields both the candidate of the previous
-    update and the cache for the next gradient.
+    caller's model is never mutated.  Each step's forward pass yields both
+    the candidate of the previous update and the cache for the next
+    gradient.
     """
     if steps < 0:
         raise ValidationError(f"fine-tuning steps must be >= 0, got {steps}")
@@ -182,32 +158,28 @@ def online_finetune(
         raise ValidationError(f"fine-tuning step size must be finite and > 0, got {lr}")
     if model.n_layers < 2:
         raise ValidationError("fine-tuning needs a network of two layers at least")
+    if np.shape(x) != (model.sizes[0],):
+        raise ValidationError(f"fine-tuning needs one input of shape "
+                              f"({model.sizes[0]},), got {np.shape(x)}")
+    if len(coeffs) != 1:
+        raise ValidationError(f"fine-tuning needs the coefficients of one "
+                              f"snapshot, got {len(coeffs)}")
     # the defaults of the training config, read off the class
     beta1, beta2, eps = (TrainConfig.adam_beta1, TrainConfig.adam_beta2,
                          TrainConfig.adam_eps)
-    n0, n1, n2 = model.sizes[:3]
-    tail = model.params[n0 * n1:].copy()  # b1, then every later layer
-    bias1 = tail[:n1]
-    upper = Mlp(model.sizes[1:], tail[n1:])
-    opt = AdamState.zeros(tail.size)
-    grad = np.empty_like(tail)
-    grad_b1 = grad[:n1]
-    grad_b2 = grad[n1 + n1 * n2:n1 + n1 * n2 + n2]
-    rows = np.empty((n1, n0))
+    q, acts = model.forward_cached(x[None, :])
+    n0, n1 = model.sizes[:2]
+    upper = Mlp(model.sizes[1:], model.params[(n0 + 1) * n1:].copy())
+    opt = AdamState.zeros(upper.params.size)
+    grad = np.empty_like(upper.params)
 
-    best_q = model.forward(x)
-    best_rate = batch_rates(coeffs, best_q[None, :]).min()
-    h = (x[None, :] @ model.weights[0].T)[0]
-    a1 = elu(h + bias1)[None, :]
-    cache = upper.forward_cached(a1)
+    best_q = q[0]
+    best_rate = batch_rates(coeffs, q).min()
+    a1 = acts[1]
+    cache = q, acts[1:]  # what upper.forward_cached(a1) returns
     for _ in range(steps):
-        batch_loss_and_grad(upper, a1, coeffs, cache=cache, out=grad[n1:])
-        np.matmul(grad_b2, upper.weights[0], out=grad_b1)
-        grad_b1 *= elu_grad(a1[0])
-        adam_step(tail, grad, opt, lr, beta1, beta2, eps)
-        h += _first_layer_shift(x, opt.m[:n1], opt.v[:n1], opt.step,
-                                lr, beta1, beta2, eps, rows)
-        a1 = elu(h + bias1)[None, :]
+        batch_loss_and_grad(upper, a1, coeffs, cache=cache, out=grad)
+        adam_step(upper.params, grad, opt, lr, beta1, beta2, eps)
         cache = upper.forward_cached(a1)
         rate = batch_rates(coeffs, cache[0]).min()
         if rate > best_rate:

@@ -53,6 +53,54 @@ def test_gen_data_refuses_overwrite(workspace):
     assert (data_dir / "train.cfmm").read_bytes() == before
 
 
+def test_gen_data_checks_every_split_before_writing(workspace, tmp_path):
+    _, cfg_path, _, _ = workspace
+    data_dir = tmp_path / "data"
+    args = ["--config", str(cfg_path), "--out", str(data_dir)]
+    assert main(args + ["--seed", "1", "gen-data"]) == 0
+    kept = {s: (data_dir / f"{s}.cfmm").read_bytes() for s in ("val", "test")}
+    (data_dir / "train.cfmm").unlink()
+    assert main(args + ["--seed", "2", "gen-data"]) == 2
+    # no seed-2 train split beside the seed-1 val and test splits
+    assert not (data_dir / "train.cfmm").exists()
+    for split, data in kept.items():
+        assert (data_dir / f"{split}.cfmm").read_bytes() == data
+
+
+@pytest.mark.parametrize("command,target,made", [
+    (["eval", "--method", "dnn"], "evaluate", "dir"),
+    (["solve-baseline"], "evaluate", "dir"),
+    (["finetune"], "evaluate", "dir"),
+    (["train"], "train_model", "file"),
+    (["bench"], "bench_methods", "file"),
+], ids=["eval", "solve-baseline", "finetune", "train", "bench"])
+def test_commands_refuse_existing_outputs_before_the_work(
+        workspace, tmp_path, monkeypatch, command, target, made):
+    import cfmimo.reports
+    import cfmimo.training
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{target} ran although --out exists")
+
+    module = cfmimo.training if target == "train_model" else cfmimo.reports
+    monkeypatch.setattr(module, target, must_not_run)
+    _, cfg_path, data_dir, model_path = workspace
+    out = tmp_path / "out"
+    if made == "dir":
+        out.mkdir()
+    else:
+        out.write_text("kept\n")
+    args = ["--config", str(cfg_path), "--out", str(out), *command,
+            "--data", str(data_dir)]
+    if command[0] != "train":
+        args += ["--checkpoint", str(model_path)]
+    assert main(args) == 2
+    if made == "dir":
+        assert list(out.iterdir()) == []
+    else:
+        assert out.read_text() == "kept\n"
+
+
 def test_trained_checkpoint_loads(workspace):
     _, _, _, model_path = workspace
     ck = load_checkpoint(model_path)

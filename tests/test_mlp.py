@@ -23,7 +23,6 @@ from cfmimo.mlp import (
 )
 from cfmimo.rates import batch_rates, batch_sinr_coefficients
 from cfmimo.training import (
-    _first_layer_shift,
     batch_loss,
     batch_loss_and_grad,
     online_finetune,
@@ -436,18 +435,22 @@ def test_finetune_improves_on_average(tiny_run):
 
 
 def finetune_reference(model, x, coeffs, steps, lr=0.01):
-    """Full-parameter fine-tuning: textbook Adam on every weight, W1 included,
-    and a separate forward pass to rank each candidate."""
+    """Frozen first layer: a1 from the trained net's forward pass, textbook
+    Adam on a copy of the layers above it, and a separate forward pass to
+    rank each candidate."""
     tcfg = TrainConfig()
-    local = model.clone()
-    opt = AdamState.zeros(local.params.size)
-    best_q = local.forward(x)
+    q, acts = model.forward_cached(x[None, :])
+    a1 = acts[1]
+    n0, n1 = model.sizes[:2]
+    upper = Mlp(model.sizes[1:], model.params[(n0 + 1) * n1:].copy())
+    opt = AdamState.zeros(upper.params.size)
+    best_q = model.forward(x)
     best_rate = batch_rates(coeffs, best_q[None, :]).min()
     for _ in range(steps):
-        _, grad = batch_loss_and_grad(local, x[None, :], coeffs)
-        adam_reference(local.params, grad, opt, lr,
+        _, grad = batch_loss_and_grad(upper, a1, coeffs)
+        adam_reference(upper.params, grad, opt, lr,
                        tcfg.adam_beta1, tcfg.adam_beta2, tcfg.adam_eps)
-        q = local.forward(x)
+        q = upper.forward(a1[0])
         rate = batch_rates(coeffs, q[None, :]).min()
         if rate > best_rate:
             best_rate = rate
@@ -455,22 +458,23 @@ def finetune_reference(model, x, coeffs, steps, lr=0.01):
     return best_q
 
 
-def test_finetune_matches_reference(tiny_run):
-    # the implicit first layer rounds differently from full-parameter Adam
-    train, val, _, run = tiny_run
-    co = batch_sinr_coefficients(val, SMALL)
+def assert_finetune_matches_reference(model, xs, coeffs, step_counts):
     moved = 0
-    for i in range(len(val)):
-        x = run.normalizer.transform(val[i])
-        plain = run.model.forward(x)
-        q = online_finetune(run.model, x, co.take([i]), steps=0)
-        assert np.array_equal(q, finetune_reference(run.model, x, co.take([i]), 0))
-        for steps in (1, 10, 30):
-            q = online_finetune(run.model, x, co.take([i]), steps=steps)
-            ref = finetune_reference(run.model, x, co.take([i]), steps)
-            assert np.abs(q - ref).max() <= 1e-12
+    for i, x in enumerate(xs):
+        plain = model.forward(x)
+        for steps in step_counts:
+            q = online_finetune(model, x, coeffs.take([i]), steps=steps)
+            ref = finetune_reference(model, x, coeffs.take([i]), steps)
+            assert np.array_equal(q, ref), (i, steps)
             moved += not np.array_equal(ref, plain)
     assert moved > 0
+
+
+def test_finetune_matches_reference(tiny_run):
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    assert_finetune_matches_reference(run.model, run.normalizer.transform(val),
+                                      co, (0, 1, 10, 30))
 
 
 @pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
@@ -480,39 +484,8 @@ def test_finetune_matches_reference_at_paper_sizes(n_aps, n_users):
     model = build_model(n_aps, n_users, np.random.default_rng(31))
     norm = fit_normalizer(beta[:20])
     co = batch_sinr_coefficients(beta[20:], cfg)
-    moved = 0
-    for i in range(3):
-        x = norm.transform(beta[20 + i])
-        plain = model.forward(x)
-        for steps in (1, 10):
-            q = online_finetune(model, x, co.take([i]), steps=steps)
-            ref = finetune_reference(model, x, co.take([i]), steps)
-            assert np.abs(q - ref).max() <= 1e-9
-            moved += not np.array_equal(ref, plain)
-    assert moved > 0
-
-
-def test_first_layer_shift_equals_explicit_adam_on_w1():
-    # Adam on W1 with gradients d1 x^T moves W1 x by what the shift computes
-    # from b1's moments alone, bias correction included
-    rng = np.random.default_rng(40)
-    n0, n1, lr = 12, 7, 0.01
-    x = rng.normal(size=n0)
-    x[:2] = (0.0, 1e-9)  # a zero input and one where eps dominates
-    w = rng.normal(size=(n1, n0))
-    bias = np.zeros(n1)
-    w_opt, b_opt = AdamState.zeros(w.size), AdamState.zeros(n1)
-    rows = np.empty((n1, n0))
-    for _ in range(6):
-        d1 = rng.normal(size=n1) * rng.uniform(0.1, 3.0)
-        d1[0] = 0.0
-        w_before = w.copy()
-        adam_step(w.reshape(-1), np.outer(d1, x).reshape(-1), w_opt, lr)
-        adam_step(bias, d1, b_opt, lr)
-        expected = (w - w_before) @ x
-        shift = _first_layer_shift(x, b_opt.m, b_opt.v, b_opt.step, lr,
-                                   0.9, 0.999, 1e-8, rows)
-        assert np.abs(shift - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert_finetune_matches_reference(model, norm.transform(beta[20:]), co,
+                                      (0, 1, 10, 30))
 
 
 def test_finetune_rejects_single_layer_network():
@@ -521,6 +494,23 @@ def test_finetune_rejects_single_layer_network():
     with pytest.raises(ValidationError):
         online_finetune(Mlp([6, 3]), beta[0].reshape(-1),
                         batch_sinr_coefficients(beta, cfg))
+
+
+@pytest.mark.parametrize("bad", ["row", "short", "long", "stack", "empty"])
+def test_finetune_rejects_wrong_shapes(tiny_run, bad):
+    # one input (sizes[0],) and the coefficients of that one snapshot
+    train, val, _, run = tiny_run
+    co = batch_sinr_coefficients(val, SMALL)
+    x = run.normalizer.transform(val[0])
+    x, coeffs = {
+        "row": (x[None, :], co.take([0])),
+        "short": (x[:-1], co.take([0])),
+        "long": (np.append(x, 0.0), co.take([0])),
+        "stack": (x, co.take(np.arange(8))),
+        "empty": (x, co.take([])),
+    }[bad]
+    with pytest.raises(ValidationError):
+        online_finetune(run.model, x, coeffs, steps=3)
 
 
 @pytest.mark.parametrize("lr", [math.nan, -0.01, 0.0, math.inf])
