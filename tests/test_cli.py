@@ -67,15 +67,15 @@ def test_gen_data_checks_every_split_before_writing(workspace, tmp_path):
         assert (data_dir / f"{split}.cfmm").read_bytes() == data
 
 
-@pytest.mark.parametrize("command,target,made", [
-    (["eval", "--method", "dnn"], "evaluate", "dir"),
-    (["solve-baseline"], "evaluate", "dir"),
-    (["finetune"], "evaluate", "dir"),
-    (["train"], "train_model", "file"),
-    (["bench"], "bench_methods", "file"),
+@pytest.mark.parametrize("command,target", [
+    (["eval", "--method", "dnn"], "evaluate"),
+    (["solve-baseline"], "evaluate"),
+    (["finetune"], "evaluate"),
+    (["train"], "train_model"),
+    (["bench"], "bench_methods"),
 ], ids=["eval", "solve-baseline", "finetune", "train", "bench"])
 def test_commands_refuse_existing_outputs_before_the_work(
-        workspace, tmp_path, monkeypatch, command, target, made):
+        workspace, tmp_path, monkeypatch, command, target):
     import cfmimo.reports
     import cfmimo.training
 
@@ -86,7 +86,8 @@ def test_commands_refuse_existing_outputs_before_the_work(
     monkeypatch.setattr(module, target, must_not_run)
     _, cfg_path, data_dir, model_path = workspace
     out = tmp_path / "out"
-    if made == "dir":
+    report_dir = target == "evaluate"
+    if report_dir:
         out.mkdir()
     else:
         out.write_text("kept\n")
@@ -95,7 +96,7 @@ def test_commands_refuse_existing_outputs_before_the_work(
     if command[0] != "train":
         args += ["--checkpoint", str(model_path)]
     assert main(args) == 2
-    if made == "dir":
+    if report_dir:
         assert list(out.iterdir()) == []
     else:
         assert out.read_text() == "kept\n"

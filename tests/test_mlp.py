@@ -439,10 +439,9 @@ def finetune_reference(model, x, coeffs, steps, lr=0.01):
     Adam on a copy of the layers above it, and a separate forward pass to
     rank each candidate."""
     tcfg = TrainConfig()
-    q, acts = model.forward_cached(x[None, :])
-    a1 = acts[1]
-    n0, n1 = model.sizes[:2]
-    upper = Mlp(model.sizes[1:], model.params[(n0 + 1) * n1:].copy())
+    a1 = model.forward_cached(x[None, :])[1][1]
+    upper = Mlp(model.sizes[1:], np.concatenate(
+        [np.append(w.ravel(), b) for w, b in zip(model.weights[1:], model.biases[1:])]))
     opt = AdamState.zeros(upper.params.size)
     best_q = model.forward(x)
     best_rate = batch_rates(coeffs, best_q[None, :]).min()
