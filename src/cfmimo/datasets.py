@@ -28,6 +28,8 @@ Layout (little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,43 +163,47 @@ def save_dataset(path, ds: Dataset, *, force: bool = False):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(beta.tobytes())
+        fh.write(beta.data)
         if has_pos:
-            fh.write(np.ascontiguousarray(ds.ap_positions, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(ds.user_positions, dtype=np.float64).tobytes())
+            for pos in (ds.ap_positions, ds.user_positions):
+                fh.write(np.ascontiguousarray(pos, dtype=np.float64).data)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file: the header, then each array straight into its
+    own buffer, so the payload is held once."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, scen, has_pos, m, k, n, seed, offset, digest = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: not a dataset file")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if scen not in _SCENARIO_NAMES:
-        raise FormatError(f"{path}: unknown scenario code {scen}")
-    if 0 in (n, m, k):
-        raise FormatError(f"{path}: header gives {n} samples, {m} APs, {k} users")
-    expected = n * m * k * 8
-    if has_pos:
-        expected += (m * 2 + n * k * 2) * 8
-    body = raw[_HEADER.size:]
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(body)} bytes, expected {expected}"
-        )
-    beta = np.frombuffer(body, dtype="<f8", count=n * m * k).reshape(n, m, k)
-    ap_pos = user_pos = None
-    if has_pos:
-        tail = np.frombuffer(body, dtype="<f8", offset=n * m * k * 8)
-        ap_pos = tail[: m * 2].reshape(m, 2).copy()
-        user_pos = tail[m * 2:].reshape(n, k, 2).copy()
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, scen, has_pos, m, k, n, seed, offset, digest = \
+            _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: not a dataset file")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if scen not in _SCENARIO_NAMES:
+            raise FormatError(f"{path}: unknown scenario code {scen}")
+        if 0 in (n, m, k):
+            raise FormatError(f"{path}: header gives {n} samples, {m} APs, {k} users")
+        shapes = [(n, m, k)] + ([(m, 2), (n, k, 2)] if has_pos else [])
+        expected = sum(math.prod(shape) for shape in shapes) * 8
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise FormatError(
+                f"{path}: payload is {size} bytes, expected {expected}"
+            )
+        arrays = []
+        for shape in shapes:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.data) != arr.nbytes:
+                raise FormatError(f"{path}: payload ended early")
+            arrays.append(arr)
+    beta, ap_pos, user_pos = arrays + [None] * (3 - len(arrays))
     return Dataset(
         scenario=_SCENARIO_NAMES[scen],
-        beta=beta.copy(),
+        beta=beta,
         seed=seed,
         sample_offset=offset,
         digest=digest,

@@ -142,7 +142,10 @@ class Normalizer:
 
     def transform(self, beta: np.ndarray) -> np.ndarray:
         """Flatten (..., M, K) gains to (..., M*K) network inputs."""
-        return (_features(beta, self.mode) - self.mean) / self.std
+        # dividing in place: a stack's inputs are built in one new array
+        x = _features(beta, self.mode) - self.mean
+        x /= self.std
+        return x
 
 
 def _features(beta: np.ndarray, mode: str) -> np.ndarray:
@@ -155,11 +158,18 @@ def _features(beta: np.ndarray, mode: str) -> np.ndarray:
 
 def fit_normalizer(beta: np.ndarray, mode: str = "linear") -> Normalizer:
     """Per-feature mean/std over the training stack (N, M, K)."""
-    if beta.ndim != 3:
-        raise ValidationError("normalizer statistics need an (N, M, K) stack")
+    if beta.ndim != 3 or beta.size == 0:
+        raise ValidationError("normalizer statistics need a non-empty "
+                              f"(N, M, K) stack, not shape {beta.shape}")
     feats = _features(beta, mode)
     std = np.maximum(feats.std(axis=0), 1e-12)
     return Normalizer(mode=mode, mean=feats.mean(axis=0), std=std)
+
+
+# adam_step works through the parameters in slices of this many elements, so
+# that the slices of params, grad, m, v and the two work arrays (1.5 MB in
+# all) stay in a 2 MB L2 cache across the update's 14 passes
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -167,11 +177,12 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    # two parameter-sized work arrays for adam_step
+    # two work arrays of one block (or fewer) elements for adam_step
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        n = min(self.m.size, ADAM_BLOCK)
+        self.scratch = (np.empty(n), np.empty(n))
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -191,21 +202,29 @@ def adam_step(params, grad, state: AdamState, lr: float,
     operation by operation in this order, into the state's scratch arrays,
     so nothing parameter-sized is allocated and the result is bit-identical
     to the expression as written.  Folding 1/c1 and 1/c2 into the step size
-    would save passes but rounds differently.
+    would save passes but rounds differently.  The update is elementwise, so
+    it runs block by block over ADAM_BLOCK-element slices, all 14 operations
+    on one slice before the next; every element sees the same operations in
+    the same order, and the result stays bit-identical.
     """
     state.step += 1
-    upd, denom = state.scratch
-    np.multiply(grad, 1.0 - beta1, out=upd)
-    state.m *= beta1
-    state.m += upd
-    np.multiply(grad, 1.0 - beta2, out=upd)
-    upd *= grad
-    state.v *= beta2
-    state.v += upd
-    np.divide(state.v, 1.0 - beta2 ** state.step, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(state.m, 1.0 - beta1 ** state.step, out=upd)
-    upd *= lr
-    upd /= denom
-    params -= upd
+    c1 = 1.0 - beta1 ** state.step
+    c2 = 1.0 - beta2 ** state.step
+    for lo in range(0, params.size, ADAM_BLOCK):
+        blk = slice(lo, lo + ADAM_BLOCK)
+        p, g, m, v = params[blk], grad[blk], state.m[blk], state.v[blk]
+        upd, denom = (a[:p.size] for a in state.scratch)
+        np.multiply(g, 1.0 - beta1, out=upd)
+        m *= beta1
+        m += upd
+        np.multiply(g, 1.0 - beta2, out=upd)
+        upd *= g
+        v *= beta2
+        v += upd
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= denom
+        p -= upd

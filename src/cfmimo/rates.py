@@ -29,6 +29,10 @@ from .errors import ValidationError
 
 LN2 = math.log(2.0)
 
+# batch_sinr_coefficients decomposes this many snapshots at a time, so its
+# gain-sized temporaries do not grow with the stack
+COEFF_CHUNK = 256
+
 
 def c_coefficients(beta, tau: int, rho_p: float):
     """MMSE estimation coefficients c for each AP/user pair under
@@ -61,11 +65,13 @@ class RateContext:
 
 
 def _checked_gains(beta, ndim: int):
-    """Validate an (M, K) or, with ndim=3, (N, M, K) gain array."""
+    """Validate a non-empty (M, K) or, with ndim=3, (N, M, K) gain array."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != ndim:
+    if beta.ndim != ndim or beta.size == 0:
         raise ValidationError(
-            "beta must have shape " + ("(N, M, K)" if ndim == 3 else "(M, K)"))
+            "beta must be a non-empty array of shape "
+            + ("(N, M, K)" if ndim == 3 else "(M, K)")
+            + f", not {beta.shape}")
     if not np.all(np.isfinite(beta)) or beta.min() <= 0:
         raise ValidationError("beta entries must be finite and positive")
     return beta
@@ -158,10 +164,17 @@ class BatchedCoefficients:
 
 
 def batch_sinr_coefficients(beta, cfg: SystemConfig) -> BatchedCoefficients:
-    """sinr_coefficients over an (N, M, K) stack in one vectorized pass."""
+    """sinr_coefficients over an (N, M, K) stack, COEFF_CHUNK snapshots at a
+    time into preallocated outputs."""
     beta = _checked_gains(beta, 3)
-    gamma = gamma_coefficients(beta, cfg.tau, cfg.rho_p)
-    return BatchedCoefficients(*_decompose(gamma, beta, cfg.rho))
+    n, _, k = beta.shape
+    out = np.empty((n, k)), np.empty((n, k, k)), np.empty((n, k))
+    for lo in range(0, n, COEFF_CHUNK):
+        chunk = beta[lo:lo + COEFF_CHUNK]
+        gamma = gamma_coefficients(chunk, cfg.tau, cfg.rho_p)
+        for dst, part in zip(out, _decompose(gamma, chunk, cfg.rho)):
+            dst[lo:lo + COEFF_CHUNK] = part
+    return BatchedCoefficients(*out)
 
 
 def batch_sinr(coeffs: BatchedCoefficients, q):

@@ -21,9 +21,25 @@ from .mlp import AdamState, Mlp, Normalizer, adam_step, build_model, fit_normali
 from .rates import LN2, BatchedCoefficients, batch_rates, batch_sinr_coefficients
 
 
+# batch_loss forwards this many rows at a time, so a loss over a whole
+# training set never holds the activations of all of it
+LOSS_CHUNK = 256
+
+
 def batch_loss(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients) -> float:
-    q = model.forward(x)
-    return -float(batch_rates(coeffs, q).min(axis=1).mean())
+    """Negative mean worst-user rate over a (B, in) batch.
+
+    Forwards LOSS_CHUNK rows at a time into one (B,) array of worst rates
+    and takes one mean.  Up to LOSS_CHUNK rows this is one pass; past it a
+    BLAS product may round a row of q differently at another row count,
+    which the mean absorbed in every case measured (tests/test_mlp.py).
+    """
+    worst = np.empty(len(x))
+    for lo in range(0, len(x), LOSS_CHUNK):
+        rows = slice(lo, lo + LOSS_CHUNK)
+        q = model.forward(x[rows])
+        worst[rows] = batch_rates(coeffs.take(rows), q).min(axis=1)
+    return -float(worst.mean())
 
 
 def batch_loss_and_grad(model: Mlp, x: np.ndarray, coeffs: BatchedCoefficients,

@@ -157,6 +157,20 @@ def test_save_refuses_empty_or_flat_gains(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("scenario", ["static", "mobility"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_payload_one_byte_off_is_format_error(tmp_path, scenario, extra):
+    ds = (generate_static_dataset(SMALL, 3, seed=0) if scenario == "static"
+          else generate_mobility_dataset(GRID, 3, seed=0))
+    good = tmp_path / "good.cfmm"
+    save_dataset(good, ds)
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.cfmm"
+    bad.write_bytes(raw[:-1] if extra < 0 else raw + b"\0")
+    with pytest.raises(FormatError, match=f"payload is {len(raw) + extra - _HEADER.size} bytes"):
+        load_dataset(bad)
+
+
 def test_rejects_foreign_and_damaged_files(tmp_path):
     path = tmp_path / "d.cfmm"
     path.write_bytes(b"PNG!" + bytes(100))

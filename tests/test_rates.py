@@ -8,6 +8,7 @@ from cfmimo.datasets import generate_static_dataset
 from cfmimo.errors import ValidationError
 from cfmimo.geometry import generate_realization
 from cfmimo.rates import (
+    COEFF_CHUNK,
     RateContext,
     batch_sinr_coefficients,
     c_coefficients,
@@ -211,6 +212,25 @@ def test_single_and_batched_coefficients_bit_identical(n_aps, n_users):
         assert np.array_equal(single.noise, stacked.noise)
 
 
+@pytest.mark.parametrize("n_aps,n_users", [(30, 5), (50, 10)])
+def test_chunked_coefficients_equal_per_snapshot(n_aps, n_users):
+    cfg = SystemConfig(n_aps=n_aps, n_users=n_users)
+    beta = generate_static_dataset(cfg, COEFF_CHUNK + 1, seed=4).beta
+    single = [sinr_coefficients(rate_context(b, cfg)) for b in beta]
+    for n in (1, COEFF_CHUNK - 1, COEFF_CHUNK, COEFF_CHUNK + 1):
+        batched = batch_sinr_coefficients(beta[:n], cfg)
+        assert len(batched) == n
+        for name in ("signal", "coupling", "noise"):
+            assert np.array_equal(getattr(batched, name),
+                                  [getattr(s, name) for s in single[:n]]), (n, name)
+
+
+@pytest.mark.parametrize("shape", [(0, 30, 5), (2, 0, 5), (2, 30, 0)])
+def test_batched_coefficients_reject_empty_stacks(shape):
+    with pytest.raises(ValidationError, match="non-empty"):
+        batch_sinr_coefficients(np.ones(shape), CFG)
+
+
 # --- net throughput ---------------------------------------------------------
 
 def test_net_throughput_default_overhead():
@@ -228,3 +248,5 @@ def test_rate_context_validation():
         rate_context(np.array([[0.0]]), CFG)
     with pytest.raises(ValidationError):
         rate_context(np.array([1.0]), CFG)
+    with pytest.raises(ValidationError, match="non-empty"):
+        rate_context(np.ones((0, 5)), CFG)
